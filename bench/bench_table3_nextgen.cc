@@ -207,7 +207,8 @@ int main(int argc, char** argv) {
   // Where the pipeline run's cycles go, per DESIGN.md §13: client-path is
   // allocator code on the application core net of waits; the two wait rows
   // are the client clock jumping to a server; carve vs drain splits the
-  // shard core's busy time. Rows sum to total exactly by construction.
+  // shard core's busy time; flush is the end-of-run teardown, waits
+  // included. Rows sum to total exactly by construction.
   const CycleAttribution& at = r_rec.attribution;
   const double at_total = static_cast<double>(at.total());
   auto pct = [at_total](std::uint64_t v) {
@@ -224,6 +225,7 @@ int main(int argc, char** argv) {
               pct(at.server_carve)});
   att.AddRow({"server drain", FormatSci(static_cast<double>(at.server_drain())),
               pct(at.server_drain())});
+  att.AddRow({"flush", FormatSci(static_cast<double>(at.flush)), pct(at.flush)});
   att.AddRow({"total attributed", FormatSci(at_total), pct(at.total())});
   std::cout << att.ToString();
   std::cout << "recorder bit-identity: " << (bit_identical ? "ok" : "FAILED")

@@ -55,6 +55,7 @@ def print_attribution(doc):
         ("ring wait", at.get("ring_wait_cycles", 0)),
         ("server carve", at.get("server_carve_cycles", 0)),
         ("server drain", at.get("server_drain_cycles", 0)),
+        ("flush", at.get("flush_cycles", 0)),
     ]
     print("\ncycle attribution:")
     rows = []

@@ -89,7 +89,8 @@ if os.path.exists(t3_path):
                            ("sync_stall_cycles", "sync stall"),
                            ("ring_wait_cycles", "ring wait"),
                            ("server_carve_cycles", "server carve"),
-                           ("server_drain_cycles", "server drain")):
+                           ("server_drain_cycles", "server drain"),
+                           ("flush_cycles", "flush")):
             v = at.get(key, 0)
             print(f"  {label:<13} {v:>14,}  ({100.0 * v / total:5.1f}%)")
         print(f"  {'total':<13} {total:>14,}")

@@ -12,13 +12,15 @@ namespace {
 
 // RAII client-op scope for the flight recorder: the outermost pair on a core
 // brackets one user-facing allocator op, so its wall cycles land in the
-// kClientOp attribution bucket and wait sites know they are inside an op.
-// Null recorder = recorder off = zero work.
+// kClientOp attribution bucket (kFlush for teardown) and wait sites know they
+// are inside an op. Null recorder = recorder off = zero work.
 class ClientOpScope {
  public:
-  ClientOpScope(FlightRecorder* rec, Env& env) : rec_(rec), env_(&env) {
+  ClientOpScope(FlightRecorder* rec, Env& env,
+                FlightRecorder::Bucket bucket = FlightRecorder::kClientOp)
+      : rec_(rec), env_(&env) {
     if (rec_ != nullptr) {
-      rec_->BeginClientOp(env_->core_id(), env_->now());
+      rec_->BeginClientOp(env_->core_id(), env_->now(), bucket);
     }
   }
   ~ClientOpScope() {
@@ -933,7 +935,7 @@ std::uint64_t NgxAllocator::UsableSize(Env& env, Addr addr) {
 }
 
 void NgxAllocator::Flush(Env& env) {
-  ClientOpScope op_scope(Recorder(), env);
+  ClientOpScope op_scope(Recorder(), env, FlightRecorder::kFlush);
   if (!config_.offload) {
     return;
   }

@@ -10,21 +10,16 @@ SpanDirectory::SpanDirectory(Addr heap_base, std::uint64_t window_bytes,
   NGX_CHECK(span_bytes > 0 && window_bytes % span_bytes == 0,
             "heap window must be a whole number of spans");
   NGX_CHECK(num_shards >= 1 && num_shards <= 32767, "shard count out of range");
-  const std::uint64_t nspans = window_bytes / span_bytes;
-  NGX_CHECK(nspans % static_cast<std::uint64_t>(num_shards) == 0,
+  num_spans_ = window_bytes / span_bytes;
+  NGX_CHECK(num_spans_ % static_cast<std::uint64_t>(num_shards) == 0,
             "initial slices must be equal span counts");
-  owner_.resize(nspans);
-  state_.assign(nspans, State::kUngranted);
-  const std::uint64_t per_shard = nspans / static_cast<std::uint64_t>(num_shards);
-  for (std::uint64_t s = 0; s < nspans; ++s) {
-    owner_[s] = static_cast<std::int16_t>(s / per_shard);
-  }
-  home_ = owner_;
+  per_shard_ = num_spans_ / static_cast<std::uint64_t>(num_shards);
+  leaves_.resize((num_spans_ + kLeafSpans - 1) / kLeafSpans);
   recycled_.resize(static_cast<std::size_t>(num_shards));
   take_cursor_.assign(static_cast<std::size_t>(num_shards), 0);
-  free_spans_.assign(static_cast<std::size_t>(num_shards), per_shard);
+  free_spans_.assign(static_cast<std::size_t>(num_shards), per_shard_);
   away_spans_.assign(static_cast<std::size_t>(num_shards), 0);
-  owned_spans_.assign(static_cast<std::size_t>(num_shards), per_shard);
+  owned_spans_.assign(static_cast<std::size_t>(num_shards), per_shard_);
   donated_out_.assign(static_cast<std::size_t>(num_shards), 0);
   donated_in_.assign(static_cast<std::size_t>(num_shards), 0);
   returned_out_.assign(static_cast<std::size_t>(num_shards), 0);
@@ -32,36 +27,54 @@ SpanDirectory::SpanDirectory(Addr heap_base, std::uint64_t window_bytes,
 }
 
 std::uint64_t SpanDirectory::SpanOfAddr(Addr addr) const {
-  NGX_CHECK(addr >= heap_base_ && addr < heap_base_ + owner_.size() * span_bytes_,
+  NGX_CHECK(addr >= heap_base_ && addr < heap_base_ + num_spans_ * span_bytes_,
             "address outside the heap window");
   return (addr - heap_base_) / span_bytes_;
 }
 
 int SpanDirectory::OwnerOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < owner_.size(), "span index outside the heap window");
-  return owner_[span];
+  NGX_CHECK(span < num_spans_, "span index outside the heap window");
+  const Leaf* leaf = FindLeaf(span);
+  return leaf != nullptr ? leaf->owner[span % kLeafSpans] : Home(span);
 }
 
 int SpanDirectory::HomeOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < home_.size(), "span index outside the heap window");
-  return home_[span];
+  NGX_CHECK(span < num_spans_, "span index outside the heap window");
+  return Home(span);
 }
 
 SpanDirectory::SpanState SpanDirectory::StateOfSpan(std::uint64_t span) const {
-  NGX_CHECK(span < state_.size(), "span index outside the heap window");
-  return state_[span];
+  NGX_CHECK(span < num_spans_, "span index outside the heap window");
+  const Leaf* leaf = FindLeaf(span);
+  return leaf != nullptr ? leaf->state[span % kLeafSpans] : State::kUngranted;
+}
+
+SpanDirectory::Leaf& SpanDirectory::WritableLeaf(std::uint64_t span) {
+  std::unique_ptr<Leaf>& slot = leaves_[span / kLeafSpans];
+  if (slot == nullptr) {
+    slot = std::make_unique<Leaf>();
+    const std::uint64_t base = span - span % kLeafSpans;
+    for (std::uint64_t i = 0; i < kLeafSpans && base + i < num_spans_; ++i) {
+      slot->owner[i] = static_cast<std::int16_t>(Home(base + i));
+      slot->state[i] = State::kUngranted;
+    }
+    ++resident_leaves_;
+  }
+  return *slot;
 }
 
 void SpanDirectory::NoteMapped(int shard, Addr addr, std::uint64_t bytes) {
   const std::uint64_t first = SpanOfAddr(addr);
   const std::uint64_t last = SpanOfAddr(addr + bytes - 1);
   for (std::uint64_t s = first; s <= last; ++s) {
-    NGX_CHECK(owner_[s] == shard, "shard mapped a span it does not own");
-    if (state_[s] != State::kGranted) {
-      if (state_[s] == State::kRecycled) {
+    Leaf& leaf = WritableLeaf(s);
+    const std::uint64_t i = s % kLeafSpans;
+    NGX_CHECK(leaf.owner[i] == shard, "shard mapped a span it does not own");
+    if (leaf.state[i] != State::kGranted) {
+      if (leaf.state[i] == State::kRecycled) {
         RemoveRecycledRun(shard, s, 1);
       }
-      state_[s] = State::kGranted;
+      leaf.state[i] = State::kGranted;
       --free_spans_[static_cast<std::size_t>(shard)];
     }
   }
@@ -74,11 +87,13 @@ void SpanDirectory::NoteUnmapped(int shard, Addr addr, std::uint64_t bytes) {
   const Addr hi = ((addr + bytes) / span_bytes_) * span_bytes_;
   for (Addr a = lo; a + span_bytes_ <= hi; a += span_bytes_) {
     const std::uint64_t s = SpanOfAddr(a);
-    NGX_CHECK(owner_[s] == shard, "shard unmapped a span it does not own");
-    if (state_[s] != State::kGranted) {
+    Leaf& leaf = WritableLeaf(s);
+    const std::uint64_t i = s % kLeafSpans;
+    NGX_CHECK(leaf.owner[i] == shard, "shard unmapped a span it does not own");
+    if (leaf.state[i] != State::kGranted) {
       continue;
     }
-    state_[s] = State::kRecycled;
+    leaf.state[i] = State::kRecycled;
     ++free_spans_[static_cast<std::size_t>(shard)];
     std::vector<SpanRun>& runs = recycled_[static_cast<std::size_t>(shard)];
     if (!runs.empty() && runs.back().first + runs.back().count == s) {
@@ -151,7 +166,7 @@ Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t 
     cursor = i;
     RemoveRecycledRunAt(shard, i, first, nspans);
     for (std::uint64_t s = first; s < first + nspans; ++s) {
-      state_[s] = State::kUngranted;  // back inside a provider window
+      WritableLeaf(s).state[s % kLeafSpans] = State::kUngranted;  // back in a provider window
     }
     return base;
   }
@@ -159,21 +174,24 @@ Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t 
 }
 
 void SpanDirectory::MoveFreeRun(std::uint64_t first, std::uint64_t count, int from, int to) {
-  NGX_CHECK(first + count <= owner_.size(), "span range exceeds the heap window");
+  NGX_CHECK(first + count <= num_spans_, "span range exceeds the heap window");
   for (std::uint64_t s = first; s < first + count; ++s) {
-    NGX_CHECK(owner_[s] == from,
+    Leaf& leaf = WritableLeaf(s);
+    const std::uint64_t i = s % kLeafSpans;
+    NGX_CHECK(leaf.owner[i] == from,
               "span donation from a shard that does not own it (double donation?)");
-    NGX_CHECK(state_[s] != State::kGranted, "cannot donate a span that is still mapped");
-    if (state_[s] == State::kRecycled) {
+    NGX_CHECK(leaf.state[i] != State::kGranted, "cannot donate a span that is still mapped");
+    if (leaf.state[i] == State::kRecycled) {
       // Moving straight out of the recycled pool.
       RemoveRecycledRun(from, s, 1);
-      state_[s] = State::kUngranted;
+      leaf.state[i] = State::kUngranted;
     }
-    owner_[s] = static_cast<std::int16_t>(to);
-    if (home_[s] != from) {
+    leaf.owner[i] = static_cast<std::int16_t>(to);
+    const int home = Home(s);
+    if (home != from) {
       --away_spans_[static_cast<std::size_t>(from)];
     }
-    if (home_[s] != to) {
+    if (home != to) {
       ++away_spans_[static_cast<std::size_t>(to)];
     }
   }
@@ -193,14 +211,14 @@ void SpanDirectory::TransferRange(Addr base, std::uint64_t nspans, int from, int
 int SpanDirectory::ReturnRange(Addr base, std::uint64_t nspans, int from) {
   NGX_CHECK(nspans > 0, "cannot return zero spans");
   const std::uint64_t first = SpanOfAddr(base);
-  NGX_CHECK(first + nspans <= owner_.size(), "returned range exceeds the heap window");
-  const int home = home_[first];
+  NGX_CHECK(first + nspans <= num_spans_, "returned range exceeds the heap window");
+  const int home = Home(first);
   NGX_CHECK(home != from, "span is already home (double return?)");
   for (std::uint64_t s = first; s < first + nspans; ++s) {
-    NGX_CHECK(owner_[s] == from,
+    NGX_CHECK(OwnerOfSpan(s) == from,
               "span return from a shard that does not own it (double return?)");
-    NGX_CHECK(home_[s] == home, "a returned run must share one home shard");
-    NGX_CHECK(state_[s] == State::kRecycled,
+    NGX_CHECK(Home(s) == home, "a returned run must share one home shard");
+    NGX_CHECK(StateOfSpan(s) == State::kRecycled,
               "only fully-recycled spans can be returned home");
   }
   MoveFreeRun(first, nspans, from, home);
@@ -224,13 +242,13 @@ Addr SpanDirectory::FindRecycledAwayRun(int shard, std::uint64_t unit_spans,
     const std::uint64_t end = r.first + r.count;
     for (; first + unit_spans <= end; first += unit_spans) {
       // A returnable unit must be wholly owned by one foreign home.
-      const int h = home_[first];
+      const int h = Home(first);
       if (h == shard) {
         continue;
       }
       bool uniform = true;
       for (std::uint64_t s = first + 1; s < first + unit_spans; ++s) {
-        if (home_[s] != h) {
+        if (Home(s) != h) {
           uniform = false;
           break;
         }
@@ -243,7 +261,7 @@ Addr SpanDirectory::FindRecycledAwayRun(int shard, std::uint64_t unit_spans,
       while (n / unit_spans < max_units && first + n + unit_spans <= end) {
         bool extend = true;
         for (std::uint64_t s = first + n; s < first + n + unit_spans; ++s) {
-          if (home_[s] != h) {
+          if (Home(s) != h) {
             extend = false;
             break;
           }

@@ -3,11 +3,19 @@
 // The sharded fabric used to resolve address->shard ownership with a pure
 // divide over equal kHeapWindow/num_shards slices, which hard-wires capacity:
 // a skewed size-class mix exhausts one shard's slice while its neighbours sit
-// on free spans. The directory replaces the divide with a dense side table
-// (one owner entry per span) so ownership can MOVE: whole free spans are
-// donated between shards through the fabric's kDonateSpan message, and frees
-// issued mid-donation still land at the current owner because lookup always
-// consults the table.
+// on free spans. The directory replaces the divide with a per-span owner
+// table so ownership can MOVE: whole free spans are donated between shards
+// through the fabric's kDonateSpan message, and frees issued mid-donation
+// still land at the current owner because lookup always consults the table.
+//
+// The table is two-level. The top level holds one pointer per LEAF, a fixed
+// block of kLeafSpans consecutive spans (256 MiB of window at 64-KiB spans)
+// whose owner and state it stores densely. A leaf is allocated on the first
+// write to any of its spans (NoteMapped, NoteUnmapped, TakeRecycled, or an
+// ownership move through TransferRange/ReturnRange) and starts out as the
+// untouched state it replaces. Until then every span in it answers
+// arithmetically: owner = home, state = kUngranted. Reads never allocate, so
+// host memory follows the spans a run touches, not the 512-GiB window.
 //
 // Everything here is host-side bookkeeping, like the routing layer's
 // ShardLoad: it models the directory a real implementation would keep in the
@@ -22,15 +30,17 @@
 //                 heaps map non-span-multiple large regions)
 //   kRecycled  -- unmapped again; directly donatable or locally re-grantable
 //
-// Besides the current owner, every span remembers its HOME shard (the shard
-// whose initial slice contained it). Donation moves ownership away from home;
-// the return protocol (ReturnRange, fed by FindRecycledAwayRun) moves fully
-// recycled spans back, so a burst tenant does not capture its peak footprint
-// forever. See DESIGN.md §8.
+// Besides the current owner, every span has a HOME shard: the shard whose
+// initial slice contained it, span / (num_spans / num_shards). Home never
+// changes, so it is computed, never stored. Donation moves ownership away
+// from home; the return protocol (ReturnRange, fed by FindRecycledAwayRun)
+// moves fully recycled spans back, so a burst tenant does not capture its
+// peak footprint forever. See DESIGN.md §8.
 #ifndef NGX_SRC_CORE_SPAN_DIRECTORY_H_
 #define NGX_SRC_CORE_SPAN_DIRECTORY_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -46,13 +56,16 @@ class SpanDirectory {
     std::uint64_t count;
   };
 
+  // Spans per leaf of the two-level owner/state table.
+  static constexpr std::uint64_t kLeafSpans = 4096;
+
   // Shard s initially owns spans [s*K, (s+1)*K) with K = spans/num_shards.
   SpanDirectory(Addr heap_base, std::uint64_t window_bytes, std::uint64_t span_bytes,
                 int num_shards);
 
   int num_shards() const { return num_shards_; }
   std::uint64_t span_bytes() const { return span_bytes_; }
-  std::uint64_t num_spans() const { return owner_.size(); }
+  std::uint64_t num_spans() const { return num_spans_; }
   Addr heap_base() const { return heap_base_; }
 
   std::uint64_t SpanOfAddr(Addr addr) const;
@@ -137,9 +150,23 @@ class SpanDirectory {
   // Host-side probe: total recycled runs inspected by TakeRecycled since
   // construction (the next-fit cursor's regression guard).
   std::uint64_t take_scan_steps() const { return take_scan_steps_; }
+  // Host-side probe: leaves allocated so far (each holds kLeafSpans spans).
+  std::uint64_t resident_leaves() const { return resident_leaves_; }
 
  private:
   using State = SpanState;
+
+  // Owner and state of kLeafSpans consecutive spans.
+  struct Leaf {
+    std::int16_t owner[kLeafSpans];
+    State state[kLeafSpans];
+  };
+
+  int Home(std::uint64_t span) const { return static_cast<int>(span / per_shard_); }
+  // The leaf holding `span`, or nullptr while none of its spans was written.
+  const Leaf* FindLeaf(std::uint64_t span) const { return leaves_[span / kLeafSpans].get(); }
+  // The leaf holding `span`, allocated in its untouched state on first use.
+  Leaf& WritableLeaf(std::uint64_t span);
 
   // Removes [first, first+count) from shard's recycled runs (must be fully
   // recycled there).
@@ -156,9 +183,10 @@ class SpanDirectory {
   Addr heap_base_;
   std::uint64_t span_bytes_;
   int num_shards_;
-  std::vector<std::int16_t> owner_;  // per span
-  std::vector<std::int16_t> home_;   // per span; fixed at construction
-  std::vector<State> state_;         // per span
+  std::uint64_t num_spans_;
+  std::uint64_t per_shard_;                    // spans in each initial slice
+  std::vector<std::unique_ptr<Leaf>> leaves_;  // per leaf; null until written
+  std::uint64_t resident_leaves_ = 0;
   std::vector<std::vector<SpanRun>> recycled_;  // per shard, coalesced runs
   std::vector<std::size_t> take_cursor_;        // per shard, next-fit resume index
   std::vector<std::uint64_t> free_spans_;

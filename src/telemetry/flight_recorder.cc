@@ -181,6 +181,7 @@ JsonValue CycleAttribution::ToJson() const {
   o.Set("ring_wait_cycles", ring_wait);
   o.Set("server_carve_cycles", server_carve);
   o.Set("server_drain_cycles", server_drain());
+  o.Set("flush_cycles", flush);
   o.Set("client_op_cycles", client_op);
   o.Set("server_busy_cycles", server_busy);
   o.Set("total_cycles", total());
@@ -190,6 +191,7 @@ JsonValue CycleAttribution::ToJson() const {
 CycleAttribution FlightRecorder::attribution() const {
   CycleAttribution a;
   a.client_op = cycles(kClientOp);
+  a.flush = cycles(kFlush);
   a.sync_stall = cycles(kSyncStall);
   a.ring_wait = cycles(kRingWait);
   a.server_carve = cycles(kServerCarve);
@@ -197,13 +199,14 @@ CycleAttribution FlightRecorder::attribution() const {
   return a;
 }
 
-void FlightRecorder::BeginClientOp(int core, std::uint64_t now) {
+void FlightRecorder::BeginClientOp(int core, std::uint64_t now, Bucket bucket) {
   if (scopes_.size() <= static_cast<std::size_t>(core)) {
     scopes_.resize(static_cast<std::size_t>(core) + 1);
   }
   CoreScope& s = scopes_[static_cast<std::size_t>(core)];
   if (s.depth++ == 0) {
     s.t0 = now;
+    s.bucket = bucket;
   }
 }
 
@@ -212,7 +215,7 @@ void FlightRecorder::EndClientOp(int core, std::uint64_t now) {
   CoreScope& s = scopes_[static_cast<std::size_t>(core)];
   assert(s.depth > 0);
   if (--s.depth == 0 && now > s.t0) {
-    AddCycles(kClientOp, now - s.t0);
+    AddCycles(s.bucket, now - s.t0);
   }
 }
 

@@ -121,16 +121,20 @@ struct HeapSnapshot {
 };
 
 // Cycle attribution totals. The measured buckets are client_op (wall cycles
-// inside client malloc/free/usable/flush ops), sync_stall and ring_wait
-// (client clock jumps spent waiting on a server, both subsets of client_op),
-// server_carve (heap carve work, a subset of server_busy) and server_busy
-// (server-core cycles inside drain and sync-service windows). The reported
-// decomposition is exact by construction:
+// inside client malloc/free/usable ops), sync_stall and ring_wait (client
+// clock jumps spent waiting on a server, both subsets of client_op), flush
+// (wall cycles inside Allocator::Flush, waits included: teardown is not a
+// per-op cost, and its sync requests wait for servers that already ran to
+// the end of the workload), server_carve (heap carve work, a subset of
+// server_busy) and server_busy (server-core cycles inside drain and
+// sync-service windows). The reported decomposition is exact by
+// construction:
 //   client_path + sync_stall + ring_wait = client_op
 //   server_carve + server_drain          = server_busy
-//   total                                = client_op + server_busy
+//   total                                = client_op + flush + server_busy
 struct CycleAttribution {
   std::uint64_t client_op = 0;
+  std::uint64_t flush = 0;
   std::uint64_t sync_stall = 0;
   std::uint64_t ring_wait = 0;
   std::uint64_t server_carve = 0;
@@ -143,7 +147,7 @@ struct CycleAttribution {
   std::uint64_t server_drain() const {
     return server_busy > server_carve ? server_busy - server_carve : 0;
   }
-  std::uint64_t total() const { return client_op + server_busy; }
+  std::uint64_t total() const { return client_op + flush + server_busy; }
 
   JsonValue ToJson() const;
 };
@@ -156,6 +160,7 @@ class FlightRecorder {
     kRingWait,
     kServerCarve,
     kServerBusy,
+    kFlush,
     kNumBuckets,
   };
 
@@ -167,13 +172,17 @@ class FlightRecorder {
   CycleAttribution attribution() const;
 
   // Client-op scope tracking: only the outermost Begin/End pair on a core
-  // records wall cycles, and wait-bucket sites use InClientOp to exclude
-  // server-core background traffic (the rebalancer's own sync requests).
-  void BeginClientOp(int core, std::uint64_t now);
+  // records wall cycles, into `bucket` (kClientOp for per-op scopes, kFlush
+  // for teardown). Wait-bucket sites use InClientOp to book only waits inside
+  // a per-op scope: that excludes server-core background traffic (the
+  // rebalancer's own sync requests) and the waits of a flush, which its own
+  // bucket already holds.
+  void BeginClientOp(int core, std::uint64_t now, Bucket bucket = kClientOp);
   void EndClientOp(int core, std::uint64_t now);
   bool InClientOp(int core) const {
     return static_cast<std::size_t>(core) < scopes_.size() &&
-           scopes_[static_cast<std::size_t>(core)].depth > 0;
+           scopes_[static_cast<std::size_t>(core)].depth > 0 &&
+           scopes_[static_cast<std::size_t>(core)].bucket == kClientOp;
   }
 
   // ---- traffic matrix ----
@@ -199,6 +208,7 @@ class FlightRecorder {
   struct CoreScope {
     std::uint32_t depth = 0;
     std::uint64_t t0 = 0;
+    Bucket bucket = kClientOp;  // the outermost scope's
   };
 
   std::uint64_t cycles_[kNumBuckets] = {};

@@ -466,6 +466,44 @@ TEST(TenantTraitsDeterminism, DefaultTraitsReplayThePinnedPipelineHash) {
       << "an all-default tenant list must be bit-identical to no tenants";
 }
 
+// ---- Multi-shard final-state hash ----
+//
+// kTable3PipelineHash is a single-shard run, so none of its frees resolves
+// its shard through the span directory. This run does: perfbench's
+// xmalloc-ring NextGen stack (4 clients in a producer->consumer ring on 2
+// shards over the full heap window, so every free crosses shards) at a tenth
+// of its op count. A change that reroutes a single free moves this hash.
+std::uint64_t HashedTwoShardXmallocRun() {
+  Machine machine(MachineConfig::Default(6));
+  NgxConfig cfg = NgxConfig::PaperPrototype();
+  cfg.num_shards = 2;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_refill_mark = 2;
+  cfg.stash_capacity = 14;
+  cfg.heap_kind = HeapKind::kSegment;
+  cfg.hugepage_spans = true;
+  cfg.hugepage_packing = true;
+  cfg.hugepage_metadata = true;
+  cfg.free_batch = 8;
+  NgxSystem sys = MakeNgxSystem(machine, cfg, std::vector<int>{4, 5});
+  XmallocConfig wc;
+  wc.ops_per_thread = 20000;
+  XmallocLike wl(wc);
+  RunOptions opt;
+  opt.cores = {0, 1, 2, 3};
+  opt.seed = 1;
+  opt.server_cores = {4, 5};
+  return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
+}
+
+constexpr std::uint64_t kTwoShardXmallocHash = 0x020be88a7120abe2ull;
+
+TEST(MultiShardDeterminism, TwoShardXmallocReplaysThePinnedHash) {
+  EXPECT_EQ(HashedTwoShardXmallocRun(), kTwoShardXmallocHash)
+      << "the 2-shard xmalloc run no longer matches its pinned history";
+}
+
 // ---- Hugepage knob determinism (DESIGN.md §16) ----
 //
 // hugepage_packing and hugepage_metadata default off, and off must mean OFF:

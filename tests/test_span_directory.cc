@@ -1,7 +1,7 @@
-// Elastic heap fabric tests: span-directory bookkeeping, the kDonateSpan
-// protocol end to end (ownership transfer, frees routed mid-donation),
-// batched remote-free flushes, and the NGX_CHECK death tests that guard
-// double donation.
+// Elastic heap fabric tests: span-directory bookkeeping and its lazy leaves,
+// the kDonateSpan protocol end to end (ownership transfer, frees routed
+// mid-donation), batched remote-free flushes, and the NGX_CHECK death tests
+// that guard double donation.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -70,6 +70,71 @@ TEST(SpanDirectoryDeath, DoubleDonationDies) {
   // Shard 0 no longer owns span 7; donating it again is the double-donation
   // bug the directory exists to catch.
   EXPECT_DEATH_IF_SUPPORTED(d.TransferSpan(7, 0, 1), "double donation");
+}
+
+// ---- Lazy leaves ----
+
+TEST(SpanDirectory, FullWindowConstructionAllocatesNoLeaf) {
+  SpanDirectory d(kNgxHeapBase, kHeapWindow, kSpan, 8);
+  EXPECT_EQ(d.num_spans(), kHeapWindow / kSpan);
+  EXPECT_EQ(d.resident_leaves(), 0u);
+  // Untouched spans answer arithmetically, and reads never allocate.
+  const std::uint64_t per_shard = d.num_spans() / 8;
+  for (int shard = 0; shard < 8; ++shard) {
+    for (const std::uint64_t s : {shard * per_shard, (shard + 1) * per_shard - 1}) {
+      EXPECT_EQ(d.OwnerOfSpan(s), shard);
+      EXPECT_EQ(d.HomeOfSpan(s), shard);
+      EXPECT_EQ(d.StateOfSpan(s), SpanDirectory::SpanState::kUngranted);
+    }
+    EXPECT_EQ(d.free_spans(shard), per_shard);
+    EXPECT_EQ(d.owned_spans(shard), per_shard);
+  }
+  EXPECT_EQ(d.resident_leaves(), 0u);
+}
+
+TEST(SpanDirectory, FirstWriteAllocatesOnlyItsLeaf) {
+  SpanDirectory d(kNgxHeapBase, kHeapWindow, kSpan, 8);
+  const std::uint64_t per_shard = d.num_spans() / 8;
+  const std::uint64_t leaf = SpanDirectory::kLeafSpans;
+  // Shard 2's first span: one leaf, whose other spans keep their defaults.
+  d.NoteMapped(2, d.AddrOfSpan(2 * per_shard), kSpan);
+  EXPECT_EQ(d.resident_leaves(), 1u);
+  EXPECT_EQ(d.StateOfSpan(2 * per_shard), SpanDirectory::SpanState::kGranted);
+  EXPECT_EQ(d.StateOfSpan(2 * per_shard + leaf - 1), SpanDirectory::SpanState::kUngranted);
+  EXPECT_EQ(d.OwnerOfSpan(2 * per_shard + leaf - 1), 2);
+  // A donation straddling a leaf boundary writes both leaves.
+  d.TransferRange(d.AddrOfSpan(3 * per_shard + leaf - 1), 2, 3, 4);
+  EXPECT_EQ(d.resident_leaves(), 3u);
+  EXPECT_EQ(d.OwnerOfSpan(3 * per_shard + leaf - 1), 4);
+  EXPECT_EQ(d.OwnerOfSpan(3 * per_shard + leaf), 4);
+  EXPECT_EQ(d.HomeOfSpan(3 * per_shard + leaf), 3);
+  EXPECT_EQ(d.OwnerOfSpan(3 * per_shard + leaf + 1), 3);
+  EXPECT_EQ(d.away_spans(4), 2u);
+}
+
+// A short sharded run touches the start of each shard's slice, not the
+// window: at most one leaf per shard. Packed hugepage spans, because
+// unpacked ones consume a whole 2-MiB frame of window per 64-KiB grant.
+TEST(SpanDirectory, ShortFabricRunKeepsFewLeavesResident) {
+  auto machine = MakeMachine(6);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.hugepage_packing = true;
+  auto sys = MakeNgxSystem(*machine, cfg);
+  ASSERT_EQ(sys.allocator->directory()->resident_leaves(), 0u);
+  Env env(*machine, 0);
+  std::vector<Addr> blocks;
+  for (int i = 0; i < 2000; ++i) {
+    blocks.push_back(sys.allocator->Malloc(env, 64 + 48 * static_cast<std::uint64_t>(i % 700)));
+    ASSERT_NE(blocks.back(), kNullAddr);
+  }
+  for (const Addr a : blocks) {
+    sys.allocator->Free(env, a);
+  }
+  sys.fabric->DrainAll();
+  const std::uint64_t leaves = sys.allocator->directory()->resident_leaves();
+  EXPECT_GE(leaves, 1u);
+  EXPECT_LE(leaves, 2u);
 }
 
 // ---- End-to-end donation through the fabric ----

@@ -5,7 +5,8 @@
 //    shadow model and an O(1)-amortized invariant auditor (every span has
 //    exactly one owner, recycled runs are disjoint, granted spans are never
 //    donated, returns only target fully-recycled away spans), swept over
-//    8 seeds x {2, 4, 8} shards;
+//    8 seeds x {2, 4, 8} shards, plus slices that straddle the directory's
+//    lazy leaves (3 seeds x {3, 6} shards);
 //  * the same invariants audited after a randomized malloc/free stress run
 //    through the real fabric with watermarks armed;
 //  * NGX_CHECK death tests for double-return and returning a mapped span;
@@ -18,7 +19,10 @@
 //    amortized-linear scanning on a fragmented 64Ki-span directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -105,28 +109,39 @@ void AuditDirectoryConsistency(const SpanDirectory& d) {
 // ---- Randomized lifecycle stress against the bare directory ----
 //
 // Drives the directory with random lifecycle steps while mirroring every
-// move in a host-side shadow model. The auditor is O(1)-amortized: each
-// step checks only the tallies of the shards it touched, and a full
-// O(num_spans) sweep runs every kSweepEvery steps plus once at the end.
+// move in a host-side dense shadow model (one owner/home/state entry per
+// span). The auditor is O(1)-amortized: each step checks the tallies of the
+// shards it touched, the spans it touched, and the first and last span of
+// every directory leaf and every initial shard slice (where the lazy table's
+// arithmetic defaults and its leaf indexing meet); a full O(num_spans) sweep
+// runs every kSweepEvery steps plus once at the end.
 class DirectoryStress {
  public:
   static constexpr std::uint64_t kSpansPerShard = 96;
   static constexpr std::uint32_t kSweepEvery = 512;
 
-  DirectoryStress(std::uint64_t seed, int shards)
+  DirectoryStress(std::uint64_t seed, int shards, std::uint64_t spans_per_shard = kSpansPerShard)
       : rng_(seed),
         shards_(shards),
-        d_(kNgxHeapBase, static_cast<std::uint64_t>(shards) * kSpansPerShard * kSpan, kSpan,
+        d_(kNgxHeapBase, static_cast<std::uint64_t>(shards) * spans_per_shard * kSpan, kSpan,
            shards) {
     const std::uint64_t n = d_.num_spans();
     owner_.resize(n);
     home_.resize(n);
     state_.assign(n, SpanState::kUngranted);
     for (std::uint64_t s = 0; s < n; ++s) {
-      owner_[s] = static_cast<int>(s / kSpansPerShard);
+      owner_[s] = static_cast<int>(s / spans_per_shard);
       home_[s] = owner_[s];
     }
-    free_.assign(static_cast<std::size_t>(shards), kSpansPerShard);
+    for (std::uint64_t first = 0; first < n; first += SpanDirectory::kLeafSpans) {
+      boundaries_.push_back(first);
+      boundaries_.push_back(std::min(first + SpanDirectory::kLeafSpans, n) - 1);
+    }
+    for (std::uint64_t first = 0; first < n; first += spans_per_shard) {
+      boundaries_.push_back(first);
+      boundaries_.push_back(first + spans_per_shard - 1);
+    }
+    free_.assign(static_cast<std::size_t>(shards), spans_per_shard);
     away_.assign(static_cast<std::size_t>(shards), 0);
     donated_out_.assign(static_cast<std::size_t>(shards), 0);
     donated_in_.assign(static_cast<std::size_t>(shards), 0);
@@ -136,7 +151,10 @@ class DirectoryStress {
 
   void Run(std::uint32_t steps) {
     for (std::uint32_t i = 0; i < steps && !::testing::Test::HasFatalFailure(); ++i) {
+      touched_.clear();
       Step();
+      CheckSpans(touched_);
+      CheckSpans(boundaries_);
       if ((i + 1) % kSweepEvery == 0) {
         FullSweep();
       }
@@ -190,6 +208,7 @@ class DirectoryStress {
     d_.NoteMapped(s, d_.AddrOfSpan(first), len * kSpan);
     for (std::uint64_t i = first; i < first + len; ++i) {
       state_[i] = SpanState::kGranted;
+      touched_.push_back(i);
     }
     free_[static_cast<std::size_t>(s)] -= len;
     AuditShard(s);
@@ -204,6 +223,7 @@ class DirectoryStress {
     d_.NoteUnmapped(s, d_.AddrOfSpan(first), len * kSpan);
     for (std::uint64_t i = first; i < first + len; ++i) {
       state_[i] = SpanState::kRecycled;
+      touched_.push_back(i);
     }
     free_[static_cast<std::size_t>(s)] += len;
     AuditShard(s);
@@ -220,6 +240,7 @@ class DirectoryStress {
       ASSERT_EQ(owner_[i], s) << "TakeRecycled handed out a foreign span";
       ASSERT_EQ(state_[i], SpanState::kRecycled) << "TakeRecycled handed out a live span";
       state_[i] = SpanState::kUngranted;  // back inside the provider window
+      touched_.push_back(i);
     }
     AuditShard(s);  // free count must NOT change: the spans stay owned
   }
@@ -243,6 +264,7 @@ class DirectoryStress {
     for (std::uint64_t i = first; i < first + len; ++i) {
       state_[i] = SpanState::kUngranted;  // recycled spans are lifted out of the pool
       owner_[i] = t;
+      touched_.push_back(i);
       if (home_[i] != s) {
         --away_[static_cast<std::size_t>(s)];
       }
@@ -276,6 +298,7 @@ class DirectoryStress {
     for (std::uint64_t i = first; i < first + n; ++i) {
       state_[i] = SpanState::kUngranted;
       owner_[i] = home;
+      touched_.push_back(i);
     }
     away_[static_cast<std::size_t>(s)] -= n;
     free_[static_cast<std::size_t>(s)] -= n;
@@ -297,16 +320,22 @@ class DirectoryStress {
     ASSERT_EQ(d_.returned_in(s), returned_in_[i]);
   }
 
-  // Full O(num_spans) sweep: every span has exactly the shadow's owner, home
-  // and state, and every shard's recycled pool covers exactly its recycled
-  // spans with disjoint runs.
-  void FullSweep() {
-    const std::uint64_t n = d_.num_spans();
-    for (std::uint64_t s = 0; s < n; ++s) {
+  // Every listed span has exactly the shadow's owner, home and state.
+  void CheckSpans(const std::vector<std::uint64_t>& spans) {
+    for (const std::uint64_t s : spans) {
       ASSERT_EQ(d_.OwnerOfSpan(s), owner_[s]) << "owner diverged, span " << s;
       ASSERT_EQ(d_.HomeOfSpan(s), home_[s]) << "home must never change, span " << s;
       ASSERT_EQ(d_.StateOfSpan(s), state_[s]) << "state diverged, span " << s;
     }
+  }
+
+  // Full O(num_spans) sweep: every span matches the shadow, and every
+  // shard's recycled pool covers exactly its recycled spans with disjoint
+  // runs.
+  void FullSweep() {
+    std::vector<std::uint64_t> all(d_.num_spans());
+    std::iota(all.begin(), all.end(), 0);
+    CheckSpans(all);
     AuditDirectoryConsistency(d_);
     for (int s = 0; s < shards_; ++s) {
       AuditShard(s);
@@ -326,7 +355,14 @@ class DirectoryStress {
   std::vector<std::uint64_t> donated_in_;
   std::vector<std::uint64_t> returned_out_;
   std::vector<std::uint64_t> returned_in_;
+  std::vector<std::uint64_t> boundaries_;  // first/last span of every leaf and slice
+  std::vector<std::uint64_t> touched_;     // spans the current step wrote
 };
+
+std::string SeedShardsName(const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& p) {
+  return "seed" + std::to_string(std::get<0>(p.param)) + "_shards" +
+         std::to_string(std::get<1>(p.param));
+}
 
 class SpanRebalanceStress
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
@@ -342,10 +378,25 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
                                                         0xfeedface),
                        ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
-    });
+    SeedShardsName);
+
+// Slices that are not a multiple of the directory leaf (2900 spans, 3 and 6
+// shards): initial slices start and end mid-leaf, the last leaf is partial,
+// and runs straddle leaf boundaries.
+class SpanRebalanceLeafStress
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+
+TEST_P(SpanRebalanceLeafStress, RandomLifecycleMatchesTheDenseModel) {
+  const auto [seed, shards] = GetParam();
+  DirectoryStress stress(seed, shards, /*spans_per_shard=*/2900);
+  stress.Run(4000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByShards, SpanRebalanceLeafStress,
+    ::testing::Combine(::testing::Values<std::uint64_t>(1, 42, 0xdeadbeef),
+                       ::testing::Values(3, 6)),
+    SeedShardsName);
 
 // ---- Randomized stress through the real fabric ----
 

@@ -346,9 +346,42 @@ TEST(FlightRecorder, AttributionBucketsAreAnExactDecomposition) {
   // defined as the remainders of the two measured windows.
   EXPECT_EQ(at.client_path() + at.sync_stall + at.ring_wait, at.client_op);
   EXPECT_EQ(at.server_carve + at.server_drain(), at.server_busy);
-  EXPECT_EQ(at.client_op + at.server_busy, at.total());
+  EXPECT_EQ(at.client_op + at.flush + at.server_busy, at.total());
   // The client spends at most its own wall clock inside allocator ops.
   EXPECT_LE(at.client_op, r.wall_cycles);
+}
+
+// End-of-run Flush calls land in their own bucket: the per-op buckets of a
+// run are the same whether or not it flushes at the end.
+TEST(FlightRecorder, FlushCyclesStayOutOfThePerOpBuckets) {
+  auto run = [](bool flush_at_end) {
+    Machine machine(MachineConfig::Default(2));
+    TelemetryConfig tc;
+    tc.enabled = true;
+    tc.recorder = true;
+    machine.EnableTelemetry(tc);
+    NgxConfig cfg = NgxConfig::PaperPrototype();
+    cfg.prediction = true;
+    NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
+    XalancConfig wl_cfg;
+    wl_cfg.documents = 2;
+    wl_cfg.nodes_per_doc = 400;
+    XalancLike workload(wl_cfg);
+    RunOptions opt;
+    opt.cores = {0};
+    opt.seed = 13;
+    opt.server_cores = {1};
+    opt.flush_at_end = flush_at_end;
+    return RunWorkload(machine, *sys.allocator, workload, opt).attribution;
+  };
+  const CycleAttribution kept = run(false);
+  const CycleAttribution flushed = run(true);
+  EXPECT_EQ(kept.flush, 0u);
+  EXPECT_GT(flushed.flush, 0u) << "returning the stash must cost client cycles";
+  EXPECT_EQ(flushed.client_op, kept.client_op);
+  EXPECT_EQ(flushed.sync_stall, kept.sync_stall);
+  EXPECT_EQ(flushed.ring_wait, kept.ring_wait);
+  EXPECT_EQ(flushed.client_op + flushed.flush + flushed.server_busy, flushed.total());
 }
 
 TEST(FlightRecorder, TrafficMatrixAccountsEveryOperation) {
