@@ -14,8 +14,8 @@
 //
 // The off/off row doubles as the bit-identity anchor: with hugepage_spans
 // back to false it must replay the pinned table3 pipeline hash
-// (kTable3PipelineHash's value, a60bbd916fa447cf) -- CI asserts both that
-// and the dTLB/speedup claims from the JSON.
+// (kTable3PipelineHash's value, c341e49c161c6028) -- scripts/claims.py
+// asserts both that and the dTLB/speedup claims from the JSON.
 #include <cstdio>
 #include <string>
 #include <vector>

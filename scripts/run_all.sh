@@ -99,3 +99,6 @@ PYEOF
 # Full flight-recorder report for the table-3 run: attribution breakdown,
 # client x shard traffic matrix, and the end-of-run heap snapshot.
 python3 scripts/report.py "$results_dir/table3_nextgen.json"
+
+# The CI bench claims (same script, same bounds): exits nonzero if any fails.
+python3 scripts/claims.py "$results_dir"

@@ -97,11 +97,15 @@ struct NgxConfig {
 
   // Pipelined stash refills (DESIGN.md §9): the (core, class) stash becomes
   // two halves with a seqlock-style publish word. When the active half drains
-  // to stash_refill_mark entries, the client posts a non-blocking
-  // kRefillStash on the async ring and keeps popping; the server fills the
-  // INACTIVE half during its drain window and publishes with one
-  // release-store, so the refill overlaps application work instead of
-  // stalling it the way the sync kMallocBatch round trip does. Requires
+  // to its refill point, the client posts a non-blocking kRefillStash on the
+  // async ring and keeps popping; the server fills the INACTIVE half during
+  // its drain window and publishes with one release-store, so the refill
+  // overlaps application work instead of stalling it the way the sync
+  // kMallocBatch round trip does. stash_refill_mark is where every stash's
+  // refill point STARTS: each starvation stall (the client drained the half
+  // before the publish) raises that stash's own lead by one entry, up to the
+  // last pop of a full half, so stashes that outrun the server learn to post
+  // earlier while stall-free ones keep posting at the mark. Requires
   // offload + prediction; stash_refill_mark = 0 (or stash_pipeline = false)
   // disables the pipeline and the sim is bit-identical to pre-pipeline
   // builds.

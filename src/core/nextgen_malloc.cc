@@ -779,7 +779,7 @@ void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t re
   const int core = env.core_id();
   StashPipe& pipe = Pipe(core, cls);
   if (pipe.in_flight ||
-      remaining > core_refill_mark_[static_cast<std::size_t>(core)]) {
+      remaining > core_refill_mark_[static_cast<std::size_t>(core)] + pipe.lead) {
     return;
   }
   if (pipe.count[pipe.active ^ 1] > 0 || pipe.spill > 0) {
@@ -827,6 +827,13 @@ void NgxAllocator::FlipStash(Env& env, int core, std::uint32_t cls) {
     machine_->core(core).AdvanceTo(pipe.publish_time);
     if (Recording()) {
       c_starvation_->Add();
+    }
+    // The refill was posted too late for this stream: post the next one an
+    // entry earlier (additive increase, never past the last pop of a full
+    // half).
+    const std::size_t ci = static_cast<std::size_t>(core);
+    if (core_refill_mark_[ci] + pipe.lead + 1 < core_pipe_cap_[ci]) {
+      ++pipe.lead;
     }
   }
   // The acquire-read of the filled half's header is the flip's one
@@ -1686,6 +1693,10 @@ AllocatorStats NgxAllocator::stats() const {
 }
 
 std::uint64_t NgxAllocator::map_mapped_bytes() const {
+  if (hugepage_ledger_ != nullptr) {
+    // Packing needs hugepage spans, so every span map is a ledger frame.
+    return hugepage_ledger_->backed_bytes();
+  }
   std::uint64_t total = 0;
   for (const auto& h : heaps_) {
     total += const_cast<ServerHeap&>(*h).span_provider().mapped_bytes();

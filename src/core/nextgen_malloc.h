@@ -30,17 +30,17 @@
 // With config.stash_pipeline (DESIGN.md §9), each (core, class) stash splits
 // into two single-cache-line halves whose header word doubles as a
 // seqlock-style publish word: when the active half drains to
-// stash_refill_mark entries the client posts a non-blocking kRefillStash on
-// the async ring and keeps allocating; the serving shard fills the INACTIVE
-// half on its own clock -- hottest block on top -- and publishes the whole
-// batch with one release-store of the header. The client flips halves only
-// when the active one runs dry, paying one line transfer per refill batch --
-// and a stall only if it outran the server. Frees of small blocks recycle
-// straight into the active half after a one-load local classification
-// (ServerHeap::ClassifyForRecycle), so in steady state blocks bounce between
-// the app and its own stash at depth-1 LIFO and neither the ring nor the
-// server sees them. The sync kMallocBatch round trip remains as the cold
-// path.
+// stash_refill_mark entries plus the stash's stall-trained lead, the client
+// posts a non-blocking kRefillStash on the async ring and keeps allocating;
+// the serving shard fills the INACTIVE half on its own clock -- hottest block
+// on top -- and publishes the whole batch with one release-store of the
+// header. The client flips halves only when the active one runs dry, paying
+// one line transfer per refill batch -- and a stall only if it outran the
+// server. Frees of small blocks recycle straight into the active half after a
+// one-load local classification (ServerHeap::ClassifyForRecycle), so in
+// steady state blocks bounce between the app and its own stash at depth-1
+// LIFO and neither the ring nor the server sees them. The sync kMallocBatch
+// round trip remains as the cold path.
 //
 // Set config.offload = false for the MMT-style inline ablation: the same
 // heap runs on the calling core (the lock must then be kept when several
@@ -150,11 +150,14 @@ class NgxAllocator : public Allocator {
   std::uint64_t sync_mallocs() const { return sync_mallocs_; }
 
   // ---- Map-waste honesty (DESIGN.md §16) ----
-  // Summed over every shard's span provider: bytes the providers actually
-  // mapped vs bytes the heaps asked for (4-KiB granular). Without packing,
-  // each hugepage-backed 64-KiB span map charges a whole 2 MiB, so waste is
-  // 31/32 of the span footprint; with packing it collapses to the partially
-  // filled frontier frames. Host-side observation only.
+  // Bytes the fabric's span providers actually mapped vs bytes the heaps
+  // asked for (4-KiB granular, summed over every shard's provider). Without
+  // packing, each hugepage-backed 64-KiB span map charges a whole 2 MiB, so
+  // waste is 31/32 of the span footprint; with packing it collapses to the
+  // partially filled frontier frames. Packed, the mapped total is the shared
+  // ledger's backed frames: a frame opened by one shard's provider and
+  // emptied by another's (after a donation) clamps the per-provider books,
+  // so their sum can over-count. Host-side observation only.
   std::uint64_t map_mapped_bytes() const;
   std::uint64_t map_requested_bytes() const;
   std::uint64_t map_waste_bytes() const {
@@ -176,6 +179,12 @@ class NgxAllocator : public Allocator {
   // the client drained the active half before the server published.
   std::uint64_t refill_overlap_cycles() const { return refill_overlap_cycles_; }
   std::uint64_t stash_starvation_stalls() const { return stash_starvation_stalls_; }
+  // Learned refill lead of (core, cls)'s stash (0 until it first stalls;
+  // see StashPipe::lead). Host-side probe; 0 when the pipeline is off.
+  std::uint32_t stash_lead(int core, std::uint32_t cls) const {
+    return pipeline_ ? pipes_[static_cast<std::size_t>(core) * classes_.num_classes() + cls].lead
+                     : 0;
+  }
   // Frees recycled straight into the client's active stash half (never
   // reached the ring or the server; see StashRecycle).
   std::uint64_t stash_recycled_frees() const { return recycled_frees_; }
@@ -279,11 +288,18 @@ class NgxAllocator : public Allocator {
     // Entries in the client-only spill stack behind the halves (see
     // SpillAddr); always client-owned, count lives here.
     std::uint32_t spill = 0;
+    // Stall-trained refill lead: entries above the core's refill mark at
+    // which MaybePostRefill posts. Starts at 0 and grows by one on every
+    // starvation stall (FlipStash), capped so mark + lead <= pipe cap - 1;
+    // nothing else moves it, so a stash that never stalls posts exactly at
+    // the mark. Sits in the padding before expected_seq.
+    std::uint32_t lead = 0;
     std::uint64_t expected_seq = 0;  // publish-word value that commits the fill
     std::uint64_t post_time = 0;     // client clock at the doorbell
     std::uint64_t fill_start = 0;    // server clock when the fill began
     std::uint64_t publish_time = 0;  // server clock at the release-store
   };
+  static_assert(sizeof(StashPipe) == 56, "the refill lead must ride in existing padding");
 
   // Pipelined slot layout: two halves of ONE cache line each,
   //   [w0: fill_seq<<32 | count][entry 0]...[entry kPipeHalfCap-1]
@@ -331,13 +347,13 @@ class NgxAllocator : public Allocator {
   Addr PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t cls, bool rec,
                        std::uint64_t t0);
   // Posts kRefillStash for (core, cls) if the active half just drained to
-  // `remaining` <= the refill mark, no refill is in flight, and the
-  // predictor is warm.
+  // `remaining` <= the refill mark plus the stash's lead, no refill is in
+  // flight, and the predictor is warm.
   void MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t remaining);
-  // Consumes the published fill: waits out any remaining server time,
-  // acquire-reads the filled half's header (the one guaranteed line
-  // transfer, which also warms the line every subsequent pop hits), swaps
-  // halves.
+  // Consumes the published fill: waits out any remaining server time (and
+  // then raises the stash's lead by one), acquire-reads the filled half's
+  // header (the one guaranteed line transfer, which also warms the line
+  // every subsequent pop hits), swaps halves.
   void FlipStash(Env& env, int core, std::uint32_t cls);
   // Server side of OffloadOp::kRefillStash: fill the client's inactive half
   // and publish with a release-store of the expected sequence number.

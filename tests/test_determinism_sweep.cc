@@ -456,8 +456,9 @@ std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
 // The hash bench_table3_nextgen pinned when the pipeline row was frozen.
 // If this fails, something changed simulated history for tenant-less runs:
 // either an unintended timing regression, or a deliberate model change --
-// in which case re-pin BOTH this constant and the bench's copy.
-constexpr std::uint64_t kTable3PipelineHash = 0xa60bbd916fa447cfull;
+// in which case re-pin BOTH this constant and PIPELINE_HASH in
+// scripts/claims.py.
+constexpr std::uint64_t kTable3PipelineHash = 0xc341e49c161c6028ull;
 
 TEST(TenantTraitsDeterminism, DefaultTraitsReplayThePinnedPipelineHash) {
   EXPECT_EQ(HashedTable3PipelineRun(false), kTable3PipelineHash)
@@ -497,7 +498,7 @@ std::uint64_t HashedTwoShardXmallocRun() {
   return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
 }
 
-constexpr std::uint64_t kTwoShardXmallocHash = 0x020be88a7120abe2ull;
+constexpr std::uint64_t kTwoShardXmallocHash = 0x0bdda1d7f02a8b68ull;
 
 TEST(MultiShardDeterminism, TwoShardXmallocReplaysThePinnedHash) {
   EXPECT_EQ(HashedTwoShardXmallocRun(), kTwoShardXmallocHash)

@@ -9,8 +9,9 @@
 //    fresh/emptied accounting;
 //  * packed PageProvider behaviour: 32 spans per frame, one mmap syscall
 //    per fresh frame and one munmap per emptied frame, map-waste honesty
-//    against the unpacked 31/32 burn, and donated ranges landing on an
-//    already-backed frame without a second charge;
+//    against the unpacked 31/32 burn, donated ranges landing on an
+//    already-backed frame without a second charge, and the fabric's mapped
+//    total staying on the ledger when the recipient empties a donor frame;
 //  * hugepage_metadata flips the channel / free-buffer / metadata regions
 //    to 2-MiB backing (and leaves them on 4 KiB when off);
 //  * a randomized malloc/free fabric stress with packing + donation armed,
@@ -248,6 +249,62 @@ TEST(PackedProvider, DonatedRangeLandsOnTheBackedFrameWithoutASecondCharge) {
   }
   EXPECT_EQ(ledger.backed_frames(), 0u);
   EXPECT_EQ(donor.munmap_calls(), 2u);
+}
+
+// The fabric-wide mapped total under packing is the ledger, not the sum of
+// per-provider books: when a donated span lets the recipient's unmap empty a
+// frame the donor opened, the recipient's books clamp at zero and the
+// donor's keep the frame, so the sum over-counts by a whole frame.
+TEST(PackedProvider, CrossProviderReleaseKeepsTheFabricTotalOnTheLedger) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg = NgxConfig::PaperPrototype();
+  cfg.num_shards = 2;
+  cfg.hugepage_spans = true;
+  cfg.hugepage_packing = true;
+  cfg.heap_window = 2 * 4 * kMiB;  // 4 MiB (two frames) per shard
+  auto sys = MakeNgxSystem(*machine, cfg);
+  NgxAllocator& a = *sys.allocator;
+  const HugepageLedger& ledger = *a.hugepage_ledger();
+  SpanDirectory& dir = *a.directory();
+  PageProvider& donor = a.heap(0).span_provider();
+  PageProvider& recipient = a.heap(1).span_provider();
+  Env env(*machine, 0);
+
+  // The donor opens a frame with two spans and recycles the second.
+  const Addr kept = donor.Map(env, kSpan, PageKind::kHuge2M);
+  const Addr given = donor.Map(env, kSpan, PageKind::kHuge2M);
+  ASSERT_EQ(given, kept + kSpan);
+  donor.Unmap(env, given, kSpan);
+  EXPECT_EQ(donor.mapped_bytes(), kHugePageBytes);
+
+  // The recipient exhausts its own slice, then receives the recycled span
+  // the way CarveSpans + HandleSpanGraft move it, and maps it on the
+  // donor's still-backed frame.
+  const Addr own = recipient.Map(env, 4 * kMiB, PageKind::kHuge2M);
+  ASSERT_NE(own, kNullAddr);
+  const Addr base = dir.TakeRecycled(0, 1, kSpan);
+  ASSERT_EQ(base, given);
+  dir.TransferRange(base, 1, 0, 1);
+  recipient.AddRange(base, kSpan);
+  ASSERT_EQ(recipient.Map(env, kSpan, PageKind::kHuge2M), given);
+  EXPECT_EQ(ledger.backed_frames(), 3u);
+  EXPECT_EQ(a.map_mapped_bytes(), ledger.backed_bytes());
+
+  // The donor leaves the shared frame first; the recipient's unmap is the
+  // one that empties it.
+  recipient.Unmap(env, own, 4 * kMiB);
+  donor.Unmap(env, kept, kSpan);
+  EXPECT_EQ(ledger.backed_frames(), 1u) << "the donated span still holds the frame";
+  const std::uint64_t munmaps = recipient.munmap_calls();
+  recipient.Unmap(env, given, kSpan);
+  EXPECT_EQ(ledger.backed_frames(), 0u);
+  EXPECT_EQ(recipient.munmap_calls(), munmaps + 1) << "the recipient emptied the shared frame";
+  ASSERT_EQ(donor.mapped_bytes() + recipient.mapped_bytes(), kHugePageBytes)
+      << "the per-provider books over-count the frame the recipient emptied";
+  EXPECT_EQ(a.map_mapped_bytes(), ledger.backed_bytes());
+  EXPECT_EQ(a.map_mapped_bytes(), 0u);
+  EXPECT_EQ(a.map_requested_bytes(), 0u);
+  EXPECT_EQ(a.map_waste_bytes(), 0u);
 }
 
 // ---- hugepage_metadata backing ----

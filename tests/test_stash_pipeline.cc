@@ -13,7 +13,10 @@
 //    halves parks blocks in the client-only spill, and Flush still returns
 //    every one of them;
 //  * the pipeline keeps serving correct class sizes after a Flush cleared
-//    the halves (the sync fallback reseeds).
+//    the halves (the sync fallback reseeds);
+//  * the stall-trained refill lead: a replayed burst stalls less than its
+//    first run, no lead passes cap - 1 - mark, a stall-free run leaves
+//    every lead at 0, and Flush under raised leads still balances the books.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,6 +175,147 @@ TEST(StashPipelineSpill, PipelineRecoversAfterFlush) {
     const AllocatorStats s = sys.allocator->stats();
     EXPECT_EQ(s.mallocs, s.frees) << "round " << round;
   }
+}
+
+// ---- Stall-trained refill lead (StashPipe::lead) ----
+
+NgxConfig LeadConfig(std::uint32_t mark) {
+  NgxConfig cfg = PipelineConfig(1, true);
+  cfg.stash_refill_mark = mark;
+  cfg.stash_capacity = 14;
+  return cfg;
+}
+
+// One single-class burst: `n` back-to-back mallocs of `size` with `work`
+// instructions of application code after each, every block then freed and
+// the stash flushed so the next burst starts from the same inventory.
+// Returns the starvation stalls the burst took.
+std::uint64_t Burst(Machine& machine, NgxSystem& sys, int n, std::uint64_t size,
+                    std::uint64_t work) {
+  Env app(machine, 0);
+  const std::uint64_t before = sys.allocator->stash_starvation_stalls();
+  std::vector<Addr> blocks;
+  for (int i = 0; i < n; ++i) {
+    const Addr a = sys.allocator->Malloc(app, size);
+    EXPECT_NE(a, kNullAddr);
+    blocks.push_back(a);
+    app.Work(work);
+  }
+  for (const Addr a : blocks) {
+    sys.allocator->Free(app, a);
+  }
+  sys.allocator->Flush(app);
+  sys.fabric->DrainAll();
+  return sys.allocator->stash_starvation_stalls() - before;
+}
+
+// Every lead of every (core, class) stays within cap - 1 - mark.
+void ExpectLeadsBounded(const NgxAllocator& a, int cores, std::uint32_t classes) {
+  for (int core = 0; core < cores; ++core) {
+    const std::uint32_t cap =
+        std::min(a.core_stash_capacity(core), NgxAllocator::kPipeHalfCap);
+    const std::uint32_t mark = a.core_refill_mark(core);
+    const std::uint32_t room = mark + 1 < cap ? cap - 1 - mark : 0;
+    for (std::uint32_t cls = 0; cls < classes; ++cls) {
+      EXPECT_LE(a.stash_lead(core, cls), room) << "core " << core << " class " << cls;
+    }
+  }
+}
+
+// A burst that outruns refills stalls at the default mark; those stalls
+// raise the stash's lead, so the same burst replayed posts its refills
+// early enough to stall less.
+TEST(StashRefillLead, SecondIdenticalBurstStallsLessThanTheFirst) {
+  auto machine = MakeMachine(2);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+  const std::uint32_t cls = SizeClasses().ClassOf(128);
+  EXPECT_EQ(sys.allocator->stash_lead(0, cls), 0u);
+  const std::uint64_t first = Burst(*machine, sys, 300, 128, 50);
+  ASSERT_GT(first, 0u) << "the burst must outrun refills posted at the mark";
+  EXPECT_GT(sys.allocator->stash_lead(0, cls), 0u) << "stalls must raise the lead";
+  const std::uint64_t second = Burst(*machine, sys, 300, 128, 50);
+  EXPECT_LT(second, first) << "the trained lead must hide refills the mark did not";
+  AuditPipelineCounters(*sys.allocator);
+}
+
+// Back-to-back mallocs stall on every flip, so each lead climbs to its cap
+// -- the last pop of a full half, cap - 1 - mark above the mark -- and no
+// further, whatever the mark and the half's depth.
+TEST(StashRefillLead, LeadNeverExceedsCapMinusOneMinusMark) {
+  struct Case {
+    std::uint32_t capacity;
+    std::uint32_t mark;
+  };
+  for (const Case c : {Case{14, 1}, Case{14, 2}, Case{14, 4}, Case{14, 5}, Case{14, 6},
+                       Case{32, 2}, Case{4, 1}, Case{4, 3}}) {
+    auto machine = MakeMachine(2);
+    NgxConfig cfg = LeadConfig(c.mark);
+    cfg.stash_capacity = c.capacity;
+    NgxSystem sys = MakeNgxSystem(*machine, cfg, 1);
+    for (const std::uint64_t size : {32ull, 128ull, 1024ull}) {
+      Burst(*machine, sys, 200, size, 0);
+    }
+    const std::uint32_t cap = std::min(c.capacity, NgxAllocator::kPipeHalfCap);
+    const std::uint32_t cls = SizeClasses().ClassOf(128);
+    EXPECT_GT(sys.allocator->stash_starvation_stalls(), 0u);
+    EXPECT_EQ(sys.allocator->stash_lead(0, cls), cap - 1 - c.mark)
+        << "capacity " << c.capacity << " mark " << c.mark;
+    ExpectLeadsBounded(*sys.allocator, machine->num_cores(), SizeClasses().num_classes());
+  }
+}
+
+// Nothing but a stall moves a lead: a run whose refills always publish in
+// time ends with every lead where it started, posting exactly at the mark.
+TEST(StashRefillLead, StallFreeRunLeavesEveryLeadAtZero) {
+  auto machine = MakeMachine(2);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+  for (const std::uint64_t size : {32ull, 128ull, 1024ull}) {
+    Burst(*machine, sys, 300, size, 3000);
+  }
+  ASSERT_GT(sys.allocator->stash_refills(), 0u) << "the run must exercise refills";
+  ASSERT_EQ(sys.allocator->stash_starvation_stalls(), 0u);
+  for (int core = 0; core < machine->num_cores(); ++core) {
+    for (std::uint32_t cls = 0; cls < SizeClasses().num_classes(); ++cls) {
+      EXPECT_EQ(sys.allocator->stash_lead(core, cls), 0u) << "core " << core << " class " << cls;
+    }
+  }
+}
+
+// Raised leads post refills while more entries remain, so a Flush is likelier
+// to find a published-but-unconsumed fill behind the active half: it must
+// still return every block, and the heap's books must balance.
+TEST(StashRefillLead, FlushWithRaisedLeadsReturnsEveryBlock) {
+  auto machine = MakeMachine(3);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 2);
+  for (const std::uint64_t size : {48ull, 128ull, 512ull}) {
+    Burst(*machine, sys, 120, size, 0);
+  }
+  ASSERT_GT(sys.allocator->stash_lead(0, SizeClasses().ClassOf(128)), 0u);
+  // Interleaved random traffic from two cores on top of the trained leads,
+  // shadow-audited, then each core flushes mid-stream.
+  ShadowHeapExerciser ex(*machine, *sys.allocator, 5);
+  for (int round = 0; round < 3; ++round) {
+    for (int core = 0; core < 2; ++core) {
+      ex.Run(core, 400, 60, 16, 1024);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+      Env env(*machine, core);
+      sys.allocator->Flush(env);
+    }
+  }
+  ex.FreeAll(0);
+  for (int core = 0; core < 2; ++core) {
+    Env env(*machine, core);
+    sys.allocator->Flush(env);
+  }
+  sys.fabric->DrainAll();
+  const AllocatorStats s = sys.allocator->stats();
+  EXPECT_EQ(s.mallocs, s.frees) << "a block stashed under a raised lead was lost";
+  EXPECT_EQ(s.bytes_live, 0u);
+  EXPECT_EQ(s.oom_failures, 0u);
+  AuditPipelineCounters(*sys.allocator);
+  ExpectLeadsBounded(*sys.allocator, machine->num_cores(), SizeClasses().num_classes());
 }
 
 }  // namespace
