@@ -1,21 +1,20 @@
-// Ablation: hugepage span packing + hugepage-backed fabric metadata
-// (DESIGN.md §16), chasing the documented Table-3 ceiling gap.
+// Ablation: packed hugepage spans + hugepage-backed fabric metadata
+// (DESIGN.md §16) on the Table-3 pipeline operating point.
 //
-// EXPERIMENTS.md pins the measured Table-3 result at +1.06% over Mimalloc
-// against a ~+1.35% model ceiling, with the residue attributed to effects
-// outside the pre-§16 machine model. Two of those effects are dTLB costs the
-// paper's own Table 1 motivates removing: every fabric metadata structure
-// (stash lines, channel rings, free-batch buffers, heap side tables) sat on
-// 4-KiB pages, and with hugepage_spans each 64-KiB span Map burned a whole
-// 2-MiB hugepage of window. This bench sweeps {packing, metadata} x {off,
-// on} on the Table-3 pipeline operating point and reports, per cell:
-// wall cycles, the Table-3 delta vs Mimalloc, machine-wide dTLB misses, the
-// per-region dTLB breakdown, and the providers' map-waste honesty metric.
+// Two dTLB costs the paper's own Table 1 motivates removing: heap spans on
+// 4-KiB pages, and every fabric metadata structure (stash lines, channel
+// rings, free-batch buffers, heap side tables) on 4-KiB pages. This bench
+// runs three rows -- no hugepages, packed hugepage spans, and packed spans
+// plus hugepage metadata -- and reports, per row: wall cycles, the Table-3
+// delta against BOTH Mimalloc anchors (4-KiB pages, as the paper's A1 ran,
+// and THP-backed, the like-for-like comparison for a hugepage-backed
+// NextGen), machine-wide dTLB misses, the per-region dTLB breakdown, and
+// the providers' map-waste honesty metric.
 //
-// The off/off row doubles as the bit-identity anchor: with hugepage_spans
-// back to false it must replay the pinned table3 pipeline hash
-// (kTable3PipelineHash's value, c341e49c161c6028) -- scripts/claims.py
-// asserts both that and the dTLB/speedup claims from the JSON.
+// The no-hugepage row doubles as the bit-identity anchor: it must replay
+// the pinned table3 pipeline hash (kTable3PipelineHash's value,
+// c341e49c161c6028) -- scripts/claims.py asserts both that and the
+// dTLB/speedup/waste claims from the JSON.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,7 +31,6 @@ using namespace ngx::bench;
 struct Cell {
   std::string label;
   bool hugepage_spans = true;
-  bool packing = false;
   bool metadata = false;
   RunResult result;
   std::uint64_t state_hash = 0;
@@ -56,15 +54,32 @@ std::uint64_t DtlbMisses(const RunResult& r) {
          r.server.dtlb_store_misses;
 }
 
+// Mimalloc anchor for the Table-3 delta, with or without THP backing.
+std::uint64_t MimallocWall(bool hugepage_backing) {
+  Machine machine(Table3Machine());
+  MiConfig cfg;
+  cfg.hugepage_backing = hugepage_backing;
+  auto mi = std::make_unique<MiAllocator>(machine, kMiHeapBase, cfg);
+  XalancLike workload(XalancTable3Config());
+  RunOptions opt;
+  opt.cores = {0};
+  opt.seed = 7;
+  return RunWorkload(machine, *mi, workload, opt).wall_cycles;
+}
+
+double SpeedupPct(std::uint64_t anchor_wall, const RunResult& r) {
+  return 100.0 * (static_cast<double>(anchor_wall) / static_cast<double>(r.wall_cycles) - 1.0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchCli cli("ablation_hugepage", argc, argv);
 
-  std::cout << "=== Ablation: hugepage span packing + hugepage metadata ===\n\n";
+  std::cout << "=== Ablation: packed hugepage spans + hugepage metadata ===\n\n";
 
   // Table-3 pipeline operating point (must match bench_table3_nextgen's
-  // pipeline rung byte-for-byte so the off-row hash pin means something).
+  // pipeline rung byte-for-byte so the baseline-row hash pin means something).
   NgxConfig base = NgxConfig::PaperPrototype();
   base.hugepage_spans = false;
   base.prediction = true;
@@ -72,32 +87,20 @@ int main(int argc, char** argv) {
   base.stash_refill_mark = 2;
   base.stash_capacity = 14;
 
-  // Mimalloc anchor for the Table-3 delta (same no-THP machine as table3).
-  Machine m_mi(Table3Machine());
-  MiConfig mi_cfg;
-  mi_cfg.hugepage_backing = false;
-  auto mi = std::make_unique<MiAllocator>(m_mi, kMiHeapBase, mi_cfg);
-  XalancLike wl_mi(XalancTable3Config());
-  RunOptions opt_mi;
-  opt_mi.cores = {0};
-  opt_mi.seed = 7;
-  const RunResult r_mi = RunWorkload(m_mi, *mi, wl_mi, opt_mi);
-  const double mi_cycles = static_cast<double>(r_mi.wall_cycles);
+  const std::uint64_t mi_wall = MimallocWall(/*hugepage_backing=*/false);
   std::cerr << "[done] mimalloc anchor\n";
+  const std::uint64_t mi_thp_wall = MimallocWall(/*hugepage_backing=*/true);
+  std::cerr << "[done] mimalloc THP anchor\n";
 
   std::vector<Cell> cells;
   // Bit-identity anchor: the exact pipeline rung (hugepage_spans off).
-  cells.push_back({"baseline (no hugepages)", false, false, false, {}, 0});
-  // The 2x2 at hugepage_spans = true.
-  cells.push_back({"spans only (unpacked)", true, false, false, {}, 0});
-  cells.push_back({"spans+packing", true, true, false, {}, 0});
-  cells.push_back({"spans+metadata (unpacked)", true, false, true, {}, 0});
-  cells.push_back({"spans+packing+metadata", true, true, true, {}, 0});
+  cells.push_back({"baseline (no hugepages)", false, false, {}, 0});
+  cells.push_back({"packed spans", true, false, {}, 0});
+  cells.push_back({"packed spans+metadata", true, true, {}, 0});
 
   for (Cell& c : cells) {
     NgxConfig cfg = base;
     cfg.hugepage_spans = c.hugepage_spans;
-    cfg.hugepage_packing = c.packing;
     cfg.hugepage_metadata = c.metadata;
     c.result = RunCell(cfg);
     c.state_hash = SimStateHash(c.result);
@@ -107,12 +110,15 @@ int main(int argc, char** argv) {
   const Cell& off = cells[0];
   const Cell& best = cells.back();
 
-  TextTable t({"configuration", "wall cycles", "vs mimalloc", "dTLB misses",
-               "map waste (MiB)", "mmaps"});
+  std::cout << "Mimalloc anchors: " << FormatSci(static_cast<double>(mi_wall))
+            << " cycles on 4-KiB pages, " << FormatSci(static_cast<double>(mi_thp_wall))
+            << " cycles THP-backed\n\n";
+  TextTable t({"configuration", "wall cycles", "vs mimalloc", "vs mimalloc (THP)",
+               "dTLB misses", "map waste (MiB)", "mmaps"});
   for (const Cell& c : cells) {
-    const double wall = static_cast<double>(c.result.wall_cycles);
-    t.AddRow({c.label, FormatSci(wall),
-              FormatFixed(100.0 * (mi_cycles / wall - 1.0), 2) + "%",
+    t.AddRow({c.label, FormatSci(static_cast<double>(c.result.wall_cycles)),
+              FormatFixed(SpeedupPct(mi_wall, c.result), 2) + "%",
+              FormatFixed(SpeedupPct(mi_thp_wall, c.result), 2) + "%",
               FormatSci(static_cast<double>(DtlbMisses(c.result))),
               FormatFixed(static_cast<double>(c.result.map_waste_bytes) / (1 << 20), 1),
               FormatSci(static_cast<double>(c.result.alloc_stats.mmap_calls))});
@@ -138,34 +144,37 @@ int main(int argc, char** argv) {
   char hash_hex[32];
   std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
                 static_cast<unsigned long long>(off.state_hash));
-  std::cout << "off-knob final-state hash: " << hash_hex
+  std::cout << "baseline final-state hash: " << hash_hex
             << " (determinism sweep pins this against the table3 pipeline rung)\n";
 
-  const double off_speedup = 100.0 * (mi_cycles / static_cast<double>(off.result.wall_cycles) - 1.0);
-  const double best_speedup =
-      100.0 * (mi_cycles / static_cast<double>(best.result.wall_cycles) - 1.0);
-  std::cout << "Table-3 delta: " << FormatFixed(off_speedup, 2) << "% -> "
-            << FormatFixed(best_speedup, 2) << "% with packed hugepage spans + metadata\n";
+  const double off_speedup = SpeedupPct(mi_wall, off.result);
+  const double best_speedup = SpeedupPct(mi_wall, best.result);
+  const double off_speedup_thp = SpeedupPct(mi_thp_wall, off.result);
+  const double best_speedup_thp = SpeedupPct(mi_thp_wall, best.result);
+  std::cout << "Table-3 delta with packed hugepage spans + metadata: "
+            << FormatFixed(off_speedup, 2) << "% -> " << FormatFixed(best_speedup, 2)
+            << "% vs 4-KiB Mimalloc, " << FormatFixed(off_speedup_thp, 2) << "% -> "
+            << FormatFixed(best_speedup_thp, 2) << "% vs THP Mimalloc (like for like)\n";
 
-  cli.Metric("mimalloc_wall_cycles", r_mi.wall_cycles);
+  cli.Metric("mimalloc_wall_cycles", mi_wall);
+  cli.Metric("mimalloc_thp_wall_cycles", mi_thp_wall);
   cli.Metric("baseline_state_hash", JsonValue(hash_hex));
   cli.Metric("baseline_speedup_pct", off_speedup);
   cli.Metric("hugepage_speedup_pct", best_speedup);
+  cli.Metric("hugepage_speedup_vs_thp_pct", best_speedup_thp);
   cli.Metric("baseline_dtlb_misses", DtlbMisses(off.result));
   cli.Metric("hugepage_dtlb_misses", DtlbMisses(best.result));
-  cli.Metric("unpacked_map_waste_bytes", cells[1].result.map_waste_bytes);
-  cli.Metric("packed_map_waste_bytes", cells[2].result.map_waste_bytes);
+  cli.Metric("packed_map_waste_bytes", cells[1].result.map_waste_bytes);
 
   JsonValue case_rows = JsonValue::Array();
   for (const Cell& c : cells) {
     JsonValue row = JsonValue::Object();
     row.Set("label", JsonValue(c.label));
     row.Set("hugepage_spans", JsonValue(c.hugepage_spans));
-    row.Set("hugepage_packing", JsonValue(c.packing));
     row.Set("hugepage_metadata", JsonValue(c.metadata));
     row.Set("wall_cycles", JsonValue(c.result.wall_cycles));
-    row.Set("speedup_vs_mimalloc_pct",
-            JsonValue(100.0 * (mi_cycles / static_cast<double>(c.result.wall_cycles) - 1.0)));
+    row.Set("speedup_vs_mimalloc_pct", JsonValue(SpeedupPct(mi_wall, c.result)));
+    row.Set("speedup_vs_mimalloc_thp_pct", JsonValue(SpeedupPct(mi_thp_wall, c.result)));
     row.Set("dtlb_misses", JsonValue(DtlbMisses(c.result)));
     row.Set("dtlb_regions", DtlbRegionsJson(c.result.app + c.result.server));
     row.Set("map_mapped_bytes", JsonValue(c.result.map_mapped_bytes));

@@ -180,14 +180,11 @@ SweepPoint RunCase(BenchCli& cli, bool donation, std::uint32_t free_batch) {
 }
 
 // Map-waste honesty (DESIGN.md §16): the same skewed mix on hugepage-backed
-// spans. Without packing every 64-KiB span map burns a whole 2-MiB hugepage
-// of the 16-MiB slice -- the budget becomes an alignment artifact and the
-// heavy tenant hits the wall donation cannot fix (the donors' windows are
-// just as wasted). With hugepage_packing the providers carve 32 spans per
-// frame, waste collapses to the partially-filled frontier frames and the run
-// completes exactly like the 4-KiB configuration.
+// spans. The providers pack 32 spans per 2-MiB frame, so waste is only the
+// partially-filled frontier frames and the 16-MiB slice budget means what it
+// says: the run completes like the 4-KiB configuration, with no partition
+// OOMs.
 struct HugepagePoint {
-  bool packing = false;
   std::uint64_t wall = 0;
   std::uint64_t partition_ooms = 0;
   std::uint64_t mapped = 0;
@@ -195,7 +192,7 @@ struct HugepagePoint {
   std::uint64_t waste = 0;
 };
 
-HugepagePoint RunHugepageCase(BenchCli& cli, bool packing) {
+HugepagePoint RunHugepageCase(BenchCli& cli) {
   Machine machine(MachineConfig::Default(kClients + kShards));
   cli.EnableTelemetry(machine, /*allow_trace=*/false);
   NgxConfig cfg = NgxConfig::PaperPrototype();
@@ -203,7 +200,6 @@ HugepagePoint RunHugepageCase(BenchCli& cli, bool packing) {
   cfg.span_donation = true;
   cfg.free_batch = 8;
   cfg.hugepage_spans = true;
-  cfg.hugepage_packing = packing;
   cfg.heap_window = 64ull << 20;
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*first_server_core=*/kClients);
 
@@ -230,7 +226,6 @@ HugepagePoint RunHugepageCase(BenchCli& cli, bool packing) {
   cli.Capture(machine);
 
   HugepagePoint out;
-  out.packing = packing;
   out.wall = r.wall_cycles;
   out.partition_ooms = sys.allocator->partition_oom_failures();
   out.mapped = r.map_mapped_bytes;
@@ -355,26 +350,19 @@ int main(int argc, char** argv) {
             << "doorbells than unbatched frees.\n\n";
 
   std::cout << "--- hugepage map-waste honesty (same mix, donation on, batch 8) ---\n";
-  const HugepagePoint hp_unpacked = RunHugepageCase(cli, /*packing=*/false);
-  std::cerr << "[done] hugepage_spans unpacked\n";
-  const HugepagePoint hp_packed = RunHugepageCase(cli, /*packing=*/true);
+  const HugepagePoint hp = RunHugepageCase(cli);
   std::cerr << "[done] hugepage_spans packed\n";
   TextTable ht({"hugepage spans", "wall cycles", "mapped (MiB)", "requested (MiB)",
                 "waste (MiB)", "partition OOMs"});
-  for (const HugepagePoint* hp : {&hp_unpacked, &hp_packed}) {
-    ht.AddRow({hp->packing ? "packed (32 spans/2MiB)" : "unpacked (1 span/2MiB)",
-               FormatSci(static_cast<double>(hp->wall)),
-               FormatFixed(static_cast<double>(hp->mapped) / (1 << 20), 1),
-               FormatFixed(static_cast<double>(hp->requested) / (1 << 20), 1),
-               FormatFixed(static_cast<double>(hp->waste) / (1 << 20), 1),
-               FormatInt(hp->partition_ooms)});
-  }
+  ht.AddRow({"packed (32 spans/2MiB)", FormatSci(static_cast<double>(hp.wall)),
+             FormatFixed(static_cast<double>(hp.mapped) / (1 << 20), 1),
+             FormatFixed(static_cast<double>(hp.requested) / (1 << 20), 1),
+             FormatFixed(static_cast<double>(hp.waste) / (1 << 20), 1),
+             FormatInt(hp.partition_ooms)});
   std::cout << ht.ToString() << "\n";
-  std::cout << "expectation: unpacked hugepage spans burn ~31/32 of every map, exhaust the\n"
-            << "64 MiB window and OOM (the slice budget becomes an alignment artifact);\n"
-            << "packing leaves only the partially-filled frontier frames (<= ~2 MiB per\n"
-            << "shard), so waste collapses toward 0 and partition OOMs return to the\n"
-            << "4 KiB-backed sweep's zero.\n\n";
+  std::cout << "expectation: packed spans leave only the partially-filled frontier frames\n"
+            << "(<= 2 MiB per shard plus one), so the 64 MiB window holds the mix and\n"
+            << "partition OOMs stay at the 4 KiB-backed sweep's zero.\n\n";
 
   std::cout << "--- cluster-aware shard placement (2-core clusters, 2 shards) ---\n";
   const PlacementPoint contiguous = RunPlacement(cli, PlacementKind::kContiguous);
@@ -423,19 +411,16 @@ int main(int argc, char** argv) {
     placement.Set(pp == &contiguous ? "contiguous" : "per_cluster", o);
   }
   cli.Set("placement", placement);
+  JsonValue packed = JsonValue::Object();
+  packed.Set("wall_cycles", JsonValue(hp.wall));
+  packed.Set("map_mapped_bytes", JsonValue(hp.mapped));
+  packed.Set("map_requested_bytes", JsonValue(hp.requested));
+  packed.Set("map_waste_bytes", JsonValue(hp.waste));
+  packed.Set("partition_oom_failures", JsonValue(hp.partition_ooms));
   JsonValue hugepage = JsonValue::Object();
-  for (const HugepagePoint* hp : {&hp_unpacked, &hp_packed}) {
-    JsonValue o = JsonValue::Object();
-    o.Set("wall_cycles", JsonValue(hp->wall));
-    o.Set("map_mapped_bytes", JsonValue(hp->mapped));
-    o.Set("map_requested_bytes", JsonValue(hp->requested));
-    o.Set("map_waste_bytes", JsonValue(hp->waste));
-    o.Set("partition_oom_failures", JsonValue(hp->partition_ooms));
-    hugepage.Set(hp->packing ? "packed" : "unpacked", o);
-  }
+  hugepage.Set("packed", packed);
   cli.Set("hugepage_waste", hugepage);
-  cli.Metric("map_waste_unpacked_bytes", hp_unpacked.waste);
-  cli.Metric("map_waste_packed_bytes", hp_packed.waste);
+  cli.Metric("map_waste_packed_bytes", hp.waste);
   cli.Metric("partition_ooms_without_donation", ooms_off);
   cli.Metric("partition_ooms_with_donation", ooms_on);
   cli.Metric("donated_spans_with_donation", donated_on);

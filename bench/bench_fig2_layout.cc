@@ -35,7 +35,8 @@ LayoutResult Exercise(BenchCli& cli, bool segregated) {
   cli.EnableTelemetry(machine, /*allow_trace=*/segregated);
   ServerHeapConfig hc;
   hc.hugepage_spans = false;
-  auto heap = MakeServerHeap(machine, segregated, kNgxHeapBase, kNgxMetaBase, hc);
+  hc.heap_kind = segregated ? HeapKind::kSegregated : HeapKind::kAggregated;
+  auto heap = MakeServerHeap(machine, kNgxHeapBase, kNgxMetaBase, hc);
   Env env(machine, 0);
   Rng rng(99);
 

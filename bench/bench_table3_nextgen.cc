@@ -126,7 +126,6 @@ int main(int argc, char** argv) {
   Machine m_huge(Table3Machine());
   NgxConfig huge_cfg = pipe_cfg;
   huge_cfg.hugepage_spans = true;
-  huge_cfg.hugepage_packing = true;
   huge_cfg.hugepage_metadata = true;
   NgxSystem huge_sys = MakeNgxSystem(m_huge, huge_cfg, /*server_core=*/1);
   XalancLike wl_huge(wl);

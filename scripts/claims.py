@@ -92,29 +92,38 @@ def tenant_qos(results_dir):
         m["final_state_hash"]))
 
 
-# Hugepage packing + metadata claims (DESIGN.md §16): with both knobs off the
-# ablation's baseline cell must replay the pinned pipeline hash bit for bit;
-# with the full stack on, the Table-3 delta must improve on the pipeline
-# rung, machine-wide dTLB misses must drop, and packing must reclaim the
-# unpacked 31/32 map waste. The donation bench's skewed mix double-checks the
-# waste story where it bites hardest: unpacked spans OOM against the 64 MiB
-# window, packed spans leave only frontier frames and zero partition OOMs.
+# Hugepage packing + metadata claims (DESIGN.md §16): with hugepage spans
+# and metadata off the ablation's baseline cell must replay the pinned
+# pipeline hash bit for bit; with the full stack on, the Table-3 delta must
+# improve on the pipeline rung and machine-wide dTLB misses must drop. Packed
+# spans may waste only partially filled frontier frames: at most one 2-MiB
+# frame on the single-shard ablation, and at most one per shard plus one on
+# the donation bench's skewed mix, which must also finish without a
+# partition OOM.
+HUGEPAGE_BYTES = 2 << 20
+
+
 def hugepage(results_dir):
     m = load(results_dir, "ablation_hugepage")["metrics"]
     assert m["baseline_state_hash"] == PIPELINE_HASH, m
     assert m["hugepage_speedup_pct"] > m["baseline_speedup_pct"], m
     assert m["hugepage_dtlb_misses"] < m["baseline_dtlb_misses"], m
-    assert m["packed_map_waste_bytes"] * 8 < m["unpacked_map_waste_bytes"], m
+    assert m["packed_map_waste_bytes"] <= HUGEPAGE_BYTES, m
     t3 = load(results_dir, "table3_nextgen")["metrics"]
     assert t3["nextgen_hugepage_speedup_pct"] > t3["nextgen_pipeline_speedup_pct"], t3
     assert t3["hugepage_dtlb_misses"] < t3["pipeline_dtlb_misses"], t3
-    d = load(results_dir, "ablation_span_donation")["metrics"]
-    assert d["map_waste_packed_bytes"] * 4 < d["map_waste_unpacked_bytes"], d
-    print("Table-3 delta %.2f%% -> %.2f%%, dTLB misses %d -> %d, "
-          "waste %d -> %d bytes; off-knob hash %s" % (
+    doc = load(results_dir, "ablation_span_donation")
+    d = doc["metrics"]
+    shards = len(doc["sweep"][0]["donated_in_per_shard"])
+    assert d["map_waste_packed_bytes"] <= (shards + 1) * HUGEPAGE_BYTES, d
+    packed = doc["hugepage_waste"]["packed"]
+    assert packed["partition_oom_failures"] == 0, packed
+    print("Table-3 delta %.2f%% -> %.2f%% (%.2f%% vs THP Mimalloc), "
+          "dTLB misses %d -> %d, packed waste %d / %d bytes; baseline hash %s" % (
               m["baseline_speedup_pct"], m["hugepage_speedup_pct"],
+              m["hugepage_speedup_vs_thp_pct"],
               m["baseline_dtlb_misses"], m["hugepage_dtlb_misses"],
-              m["unpacked_map_waste_bytes"], m["packed_map_waste_bytes"],
+              m["packed_map_waste_bytes"], d["map_waste_packed_bytes"],
               m["baseline_state_hash"]))
 
 

@@ -14,9 +14,12 @@
 // exactly like the original fixed window.
 //
 // Hugepage span packing (DESIGN.md §16): by default a kHuge2M Map rounds the
-// request up to a whole 2 MiB hugepage, so a 64-KiB span burns 31/32 of the
-// window it consumes. Attaching a HugepageLedger switches the provider into
-// packed mode: kHuge2M requests carve at small-page grain (32 spans share one
+// request up to a whole 2 MiB hugepage. That 2-MiB grain is what the
+// metadata windows (hugepage_metadata), the Jemalloc, TCMalloc and
+// THP-backed Mimalloc baselines, and standalone ServerHeaps built without an
+// NgxAllocator still use; every NgxAllocator span provider with
+// hugepage_spans attaches a HugepageLedger, which switches it into packed
+// mode: kHuge2M requests carve at small-page grain (32 spans share one
 // hugepage frame, each with its own kHuge2M region so the TLB model sees the
 // shared 2-MiB translation), and the mmap/munmap syscall is charged only when
 // a carve opens a fresh hugepage frame or an unmap empties one. The ledger is

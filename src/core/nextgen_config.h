@@ -47,15 +47,11 @@ struct NgxConfig {
   // Frees ride the fire-and-forget ring instead of a round trip.
   bool async_free = true;
 
-  // Segregated metadata (16-bit side indices) vs aggregated (intrusive
-  // next pointers in the blocks themselves).
-  bool segregated_metadata = true;
-
   // Which carve path backs each shard's server heap (ServerHeapConfig::
-  // heap_kind). segregated_metadata = false forces kAggregated for the
-  // Figure-2 ablation regardless of this knob; with it true (the default)
-  // kSegment selects the segment + slab rewrite (DESIGN.md §10) and
-  // kSegregated keeps the historical per-class stacks bit-identical.
+  // heap_kind): kSegregated (the default) keeps segregated metadata in
+  // per-class stacks with 16-bit side indices, kAggregated threads intrusive
+  // next pointers through the blocks themselves (the Figure-2 ablation), and
+  // kSegment selects the segment + slab rewrite (DESIGN.md §10).
   HeapKind heap_kind = HeapKind::kSegregated;
 
   // Segment heap only (heap_kind = kSegment): fully-recycled segments kept
@@ -69,16 +65,18 @@ struct NgxConfig {
   // (ablation), or when running non-offloaded with multiple threads.
   bool remove_atomics = true;
 
-  // Back spans with 2 MiB hugepages (TLB reach).
+  // Back spans with 2 MiB hugepages (TLB reach). Hugepage spans are packed
+  // (DESIGN.md §16): every shard's provider carves 32 contiguous 64-KiB spans
+  // out of each 2-MiB frame, and one fabric-wide ledger keeps a frame backed
+  // while any shard still holds a span on it, so maps and donation grants
+  // stay span-granular and map waste is only the partially filled frontier
+  // frames.
   bool hugepage_spans = true;
 
-  // Hugepage span packing (DESIGN.md §16): carve 32 contiguous 64-KiB spans
-  // out of each 2-MiB hugepage map instead of aligning every span up to a
-  // whole hugepage. The donation grant unit shrinks back to one span and
-  // small heap_window budgets become honest (no 31/32 map waste). Requires
-  // hugepage_spans; false (the default) keeps the historical
-  // one-span-per-hugepage maps bit-identical.
-  bool hugepage_packing = false;
+  // Retired: unpacked hugepage spans (one 64-KiB span per 2-MiB map) are
+  // gone and construction rejects false. The field must stay true; it is
+  // deleted together with the benchmark setup line that still assigns it.
+  bool hugepage_packing = true;
 
   // Hugepage-backed fabric metadata (DESIGN.md §16): back the per-(client,
   // shard) channel blocks, the free-batch buffers, the stash cache lines and

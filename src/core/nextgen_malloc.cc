@@ -54,28 +54,18 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   hc.span_bytes = 64 * 1024;  // page-granular spans: reuse locality
   hc.hugepage_spans = config.hugepage_spans;
   hc.hugepage_metadata = config.hugepage_metadata;
-  NGX_CHECK(!config.hugepage_packing || config.hugepage_spans,
-            "hugepage_packing packs hugepage spans; enable hugepage_spans");
-  // The Figure-2 bool wins over the finer selector so existing aggregated
-  // ablations keep meaning what they said.
-  heap_kind_ = config.segregated_metadata ? config.heap_kind : HeapKind::kAggregated;
-  hc.heap_kind = heap_kind_;
+  NGX_CHECK(config.hugepage_packing, "unpacked hugepage spans are retired");
+  hc.heap_kind = config.heap_kind;
   hc.empty_segment_retain = config.empty_segment_retain;
   // Section 3.1.3: the dedicated core serializes operations, so the lock can
   // go. Inline (non-offloaded) mode keeps it unless explicitly removed.
   hc.use_lock = !config.remove_atomics;
   span_bytes_ = hc.span_bytes;
-  // Spans are donated in whole map units: a 2 MiB-backed span grant must be
-  // 2 MiB-sized and -aligned or the recipient's provider cannot map it --
-  // unless packing is on, in which case maps are span-granular again (the
-  // shared hugepage ledger keeps frames straddling a donation boundary
-  // backed) and the grant unit shrinks back to one span.
-  const std::uint64_t page = (config.hugepage_spans && !config.hugepage_packing)
-                                 ? kHugePageBytes
-                                 : kSmallPageBytes;
-  grant_unit_spans_ = AlignUp(span_bytes_, page) / span_bytes_;
-  grant_align_ = std::max(span_bytes_, page);
-  if (config.hugepage_packing) {
+  // Hugepage spans are always packed: every provider carves 64-KiB spans out
+  // of shared 2-MiB frames, so maps and donation grants stay span-granular
+  // and the fabric-wide ledger keeps a frame straddling a donation boundary
+  // backed until its last span is released.
+  if (config.hugepage_spans) {
     hugepage_ledger_ = std::make_unique<HugepageLedger>();
   }
   // Shards start from equal disjoint slices of the heap window; the span
@@ -115,7 +105,7 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
   for (int s = 0; s < nshards; ++s) {
     // A tenant homed on this shard may have specialized its carve layout
-    // (shard_heap_kind_ equals the global heap_kind_ otherwise).
+    // (shard_heap_kind_ equals config.heap_kind otherwise).
     hc.heap_kind = shard_heap_kind_[static_cast<std::size_t>(s)];
     heaps_.push_back(MakeServerHeap(machine,
                                     kNgxHeapBase + shard_window_ * static_cast<std::uint64_t>(s),
@@ -345,7 +335,7 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
   core_spill_depth_.assign(ncores, 0);
   core_lane_.assign(ncores, QosLane::kNormal);
   core_home_shard_.assign(ncores, -1);
-  shard_heap_kind_.assign(static_cast<std::size_t>(nshards), heap_kind_);
+  shard_heap_kind_.assign(static_cast<std::size_t>(nshards), config_.heap_kind);
   shard_low_mark_.assign(static_cast<std::size_t>(nshards), config_.span_low_mark);
   shard_high_mark_.assign(static_cast<std::size_t>(nshards), config_.span_high_mark);
   max_stash_cap_ = config_.stash_capacity;
@@ -398,8 +388,6 @@ void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
       NGX_CHECK(t.span_high_mark > t.span_low_mark,
                 "tenant span_high_mark must exceed span_low_mark");
     }
-    NGX_CHECK(!t.has_heap_kind || config_.segregated_metadata,
-              "per-tenant heap kinds require segregated metadata");
     NGX_CHECK(t.home_shard < nshards, "tenant home_shard out of range");
     for (const int c : spec.cores) {
       NGX_CHECK(c >= 0 && c < machine.num_cores(), "tenant core out of range");
@@ -1088,24 +1076,17 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
 }
 
 std::uint64_t NgxAllocator::NeededGrantSpans(std::uint64_t size) const {
-  std::uint64_t map_bytes;
   if (size <= classes_.max_size()) {
     // Small classes bump-carve whole spans (segregated) or whole segments
-    // (segment heap); either way one grant unit refills a class.
-    map_bytes = grant_unit_spans_ * span_bytes_;
-  } else if (heap_kind_ == HeapKind::kAggregated) {
-    // Aggregated large regions carry a page-sized header before user bytes.
-    map_bytes = AlignUp(size, kSmallPageBytes) + kSmallPageBytes;
-  } else {
-    // Segregated and segment heaps both map span-aligned multiples; packed
-    // hugepage maps are span-granular again, so no hugepage round-up.
-    map_bytes = AlignUp(AlignUp(size, span_bytes_),
-                        (config_.hugepage_spans && !config_.hugepage_packing)
-                            ? kHugePageBytes
-                            : kSmallPageBytes);
+    // (segment heap); either way one span refills a class.
+    return 1;
   }
-  const std::uint64_t spans = AlignUp(map_bytes, span_bytes_) / span_bytes_;
-  return AlignUp(spans, grant_unit_spans_);
+  // Aggregated large regions carry a page-sized header before user bytes;
+  // segregated and segment heaps map span-aligned multiples.
+  const std::uint64_t map_bytes = config_.heap_kind == HeapKind::kAggregated
+                                      ? AlignUp(size, kSmallPageBytes) + kSmallPageBytes
+                                      : size;
+  return AlignUp(map_bytes, span_bytes_) / span_bytes_;
 }
 
 int NgxAllocator::PickDonor(const std::vector<bool>& excluded) const {
@@ -1136,14 +1117,14 @@ Addr NgxAllocator::MallocWithDonation(Env& server_env, int shard, std::uint64_t 
   NGX_CHECK(need < (1ull << 16), "span grant too large for the donation protocol");
   std::vector<bool> excluded(heaps_.size(), false);
   excluded[static_cast<std::size_t>(shard)] = true;
-  // Each round grafts at least one grant unit onto the partition (donors
-  // fall back to a single unit when they cannot spare `need` contiguous
-  // spans; successive tail trims from one donor coalesce into a contiguous
-  // range), or excludes an empty donor. Bounded by work, not luck.
-  const std::uint64_t max_rounds = need / grant_unit_spans_ + heaps_.size() + 1;
+  // Each round grafts at least one span onto the partition (donors fall
+  // back to a single span when they cannot spare `need` contiguous spans;
+  // successive tail trims from one donor coalesce into a contiguous range),
+  // or excludes an empty donor. Bounded by work, not luck.
+  const std::uint64_t max_rounds = need + heaps_.size() + 1;
   for (std::uint64_t round = 0; round < max_rounds; ++round) {
     // Cheapest first: the shard's own recycled spans need no fabric message.
-    const Addr self = directory_->TakeRecycled(shard, need, grant_align_);
+    const Addr self = directory_->TakeRecycled(shard, need);
     if (self != kNullAddr) {
       heaps_[static_cast<std::size_t>(shard)]->span_provider().AddRange(self,
                                                                         need * span_bytes_);
@@ -1198,15 +1179,15 @@ std::uint64_t NgxAllocator::CarveSpans(Env& server_env, int donor, int to,
   // Donor-side bookkeeping: recycled-pool scan plus directory update.
   server_env.Work(12);
   PageProvider& provider = heaps_[static_cast<std::size_t>(donor)]->span_provider();
-  for (const std::uint64_t n : {want, grant_unit_spans_}) {
+  for (const std::uint64_t n : {want, std::uint64_t{1}}) {
     if (n == 0 || n > want) {
       continue;
     }
     // Recycled spans first (they are already carved out of the window);
     // otherwise trim the unconsumed tail of the donor's window.
-    Addr base = directory_->TakeRecycled(donor, n, grant_align_);
+    Addr base = directory_->TakeRecycled(donor, n);
     if (base == kNullAddr) {
-      base = provider.TrimTail(n * span_bytes_, grant_align_);
+      base = provider.TrimTail(n * span_bytes_, span_bytes_);
     }
     if (base == kNullAddr) {
       continue;
@@ -1285,27 +1266,27 @@ bool NgxAllocator::TryRestockLocal(Env& server_env, int shard) {
   // Once the virgin provider window is consumed, every span grant would
   // otherwise fail first and pay the inline fallback's TakeRecycled detour
   // on the malloc path. Grafting recycled spans back during idle time keeps
-  // the provider's unconsumed tail at one grant unit above the low mark.
+  // the provider's unconsumed tail at one span above the low mark.
   PageProvider& provider = heaps_[static_cast<std::size_t>(shard)]->span_provider();
   const std::uint64_t target =
-      (shard_low_mark_[static_cast<std::size_t>(shard)] + grant_unit_spans_) * span_bytes_;
+      (shard_low_mark_[static_cast<std::size_t>(shard)] + 1) * span_bytes_;
   if (provider.FreeBytes() >= target) {
     return false;
   }
-  const Addr base = directory_->TakeRecycled(shard, grant_unit_spans_, grant_align_);
+  const Addr base = directory_->TakeRecycled(shard, 1);
   if (base == kNullAddr) {
-    return false;  // nothing contiguous recycled; refill handles true scarcity
+    return false;  // nothing recycled; refill handles true scarcity
   }
   server_env.Work(4);
-  provider.AddRange(base, grant_unit_spans_ * span_bytes_);
+  provider.AddRange(base, span_bytes_);
   return true;
 }
 
 bool NgxAllocator::TryRefill(Env& server_env, int shard, std::uint64_t free) {
   const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
-  // Refill to one grant unit above the low mark so the next few grants do
-  // not immediately re-trigger the pull.
-  const std::uint64_t want = AlignUp(low + grant_unit_spans_ - free, grant_unit_spans_);
+  // Refill to one span above the low mark so the next few grants do not
+  // immediately re-trigger the pull.
+  const std::uint64_t want = low + 1 - free;
   NGX_CHECK(want < (1ull << 16), "span refill too large for the donation protocol");
   std::vector<bool> excluded(heaps_.size(), false);
   excluded[static_cast<std::size_t>(shard)] = true;
@@ -1343,15 +1324,10 @@ bool NgxAllocator::TryReturnHome(Env& server_env, int shard) {
   }
   // Never return so much that the shard drops below its own low mark, and
   // keep the count inside the wire format's 16 bits.
-  std::uint64_t max_units = (free - low) / grant_unit_spans_;
-  max_units = std::min<std::uint64_t>(max_units, ((1ull << 16) - 1) / grant_unit_spans_);
-  if (max_units == 0) {
-    return false;
-  }
+  const std::uint64_t max_spans = std::min<std::uint64_t>(free - low, (1ull << 16) - 1);
   int home = -1;
   std::uint64_t n = 0;
-  const Addr base = directory_->FindRecycledAwayRun(shard, grant_unit_spans_, max_units,
-                                                    grant_align_, &home, &n);
+  const Addr base = directory_->FindRecycledAwayRun(shard, max_spans, &home, &n);
   if (base == kNullAddr) {
     return false;
   }
@@ -1387,11 +1363,8 @@ bool NgxAllocator::TryOfferSurplus(Env& server_env, int shard, std::uint64_t fre
   if (needy < 0) {
     return false;
   }
-  const std::uint64_t want = AlignUp(
-      shard_low_mark_[static_cast<std::size_t>(needy)] + grant_unit_spans_ - needy_free,
-      grant_unit_spans_);
-  const std::uint64_t surplus = (free - high) / grant_unit_spans_ * grant_unit_spans_;
-  const std::uint64_t n = std::min(want, surplus);
+  const std::uint64_t want = shard_low_mark_[static_cast<std::size_t>(needy)] + 1 - needy_free;
+  const std::uint64_t n = std::min(want, free - high);
   if (n == 0) {
     return false;
   }
@@ -1412,13 +1385,12 @@ int NgxAllocator::MigrateGrantedHome(Env& server_env, int shard, int max_moves) 
   // shard's provider window. Runs still holding live blocks cannot move --
   // their frees keep reaching this shard via the span directory while it is
   // parked, and they become migratable once recycled.
-  const std::uint64_t cap = ((1ull << 16) - 1) / grant_unit_spans_;
   int moves = 0;
   while (moves < max_moves) {
     int home = -1;
     std::uint64_t n = 0;
-    const Addr base = directory_->FindRecycledAwayRun(shard, grant_unit_spans_, cap,
-                                                      grant_align_, &home, &n);
+    // Runs are capped at the wire format's 16-bit span count.
+    const Addr base = directory_->FindRecycledAwayRun(shard, (1ull << 16) - 1, &home, &n);
     if (base == kNullAddr) {
       break;
     }
@@ -1620,10 +1592,10 @@ void NgxAllocator::NoteMallocTraffic(int client, int shard, std::uint64_t size) 
   if (size <= classes_.max_size()) {
     cls = static_cast<std::int64_t>(classes_.ClassOf(size));
     block = classes_.SizeOf(static_cast<std::uint32_t>(cls));
-    if (heap_kind_ == HeapKind::kAggregated) {
+    if (config_.heap_kind == HeapKind::kAggregated) {
       block += 16;
     }
-  } else if (heap_kind_ == HeapKind::kAggregated) {
+  } else if (config_.heap_kind == HeapKind::kAggregated) {
     block = AlignUp(size, kSmallPageBytes);
   } else {
     block = AlignUp(size, span_bytes_);
@@ -1694,7 +1666,7 @@ AllocatorStats NgxAllocator::stats() const {
 
 std::uint64_t NgxAllocator::map_mapped_bytes() const {
   if (hugepage_ledger_ != nullptr) {
-    // Packing needs hugepage spans, so every span map is a ledger frame.
+    // Hugepage spans always pack onto the shared ledger's frames.
     return hugepage_ledger_->backed_bytes();
   }
   std::uint64_t total = 0;

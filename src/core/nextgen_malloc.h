@@ -99,10 +99,9 @@ class NgxAllocator : public Allocator {
   int ShardOfAddr(Addr addr) const;
 
   const NgxConfig& config() const { return config_; }
-  // Effective shard-heap layout (config.heap_kind after the Figure-2
-  // segregated_metadata override). Per-tenant overrides can specialize
-  // individual shards on top of this: see shard_heap_kind().
-  HeapKind heap_kind() const { return heap_kind_; }
+  // Global shard-heap layout (config.heap_kind). Per-tenant overrides can
+  // specialize individual shards on top of this: see shard_heap_kind().
+  HeapKind heap_kind() const { return config_.heap_kind; }
 
   // ---- Per-tenant traits (config.tenants; DESIGN.md §15) ----
   // Resolved once at construction into per-core effective knobs (cores not
@@ -151,13 +150,12 @@ class NgxAllocator : public Allocator {
 
   // ---- Map-waste honesty (DESIGN.md §16) ----
   // Bytes the fabric's span providers actually mapped vs bytes the heaps
-  // asked for (4-KiB granular, summed over every shard's provider). Without
-  // packing, each hugepage-backed 64-KiB span map charges a whole 2 MiB, so
-  // waste is 31/32 of the span footprint; with packing it collapses to the
-  // partially filled frontier frames. Packed, the mapped total is the shared
-  // ledger's backed frames: a frame opened by one shard's provider and
-  // emptied by another's (after a donation) clamps the per-provider books,
-  // so their sum can over-count. Host-side observation only.
+  // asked for (4-KiB granular, summed over every shard's provider). With
+  // hugepage spans, waste is the partially filled frontier frames and the
+  // mapped total is the shared ledger's backed frames: a frame opened by one
+  // shard's provider and emptied by another's (after a donation) clamps the
+  // per-provider books, so their sum can over-count. Host-side observation
+  // only.
   std::uint64_t map_mapped_bytes() const;
   std::uint64_t map_requested_bytes() const;
   std::uint64_t map_waste_bytes() const {
@@ -165,7 +163,7 @@ class NgxAllocator : public Allocator {
     const std::uint64_t req = map_requested_bytes();
     return mapped > req ? mapped - req : 0;
   }
-  // Non-null iff config.hugepage_packing: the fabric-wide frame refcounts.
+  // Non-null iff config.hugepage_spans: the fabric-wide frame refcounts.
   const HugepageLedger* hugepage_ledger() const { return hugepage_ledger_.get(); }
 
   // Stash pipeline observability (config.stash_pipeline; DESIGN.md §9).
@@ -375,8 +373,8 @@ class NgxAllocator : public Allocator {
   // doorbell (no-op when empty).
   void FlushFreeBuf(Env& env, int shard);
 
-  // Grant sizing: spans are donated in whole map units so the recipient's
-  // provider can satisfy its next Map from the grafted range.
+  // Grant sizing: the spans the recipient's provider needs to satisfy the
+  // failed malloc's next Map from the grafted range.
   std::uint64_t NeededGrantSpans(std::uint64_t size) const;
   // Requester side (runs on shard's server core): refill the partition from
   // the shard's own recycled pool or a donor and retry the malloc.
@@ -384,9 +382,9 @@ class NgxAllocator : public Allocator {
   // Donor side of OffloadOp::kDonateSpan/kRequestSpans; returns base|nspans,
   // 0 = nothing to give.
   std::uint64_t HandleDonateSpan(Env& server_env, int donor, std::uint64_t arg);
-  // Carves up to `want` spans (falling back to one grant unit) from `donor`'s
+  // Carves up to `want` spans (falling back to one span) from `donor`'s
   // recycled pool or provider tail and transfers ownership to `to`. Returns
-  // base|nspans, 0 if the donor cannot spare even one unit.
+  // base|nspans, 0 if the donor cannot spare even one span.
   std::uint64_t CarveSpans(Env& server_env, int donor, int to, std::uint64_t want);
   // Recipient side of kOfferSpans/kReturnSpan: ownership already moved by
   // the sender, graft the range onto this shard's provider window.
@@ -453,12 +451,11 @@ class NgxAllocator : public Allocator {
 
   Machine* machine_;
   NgxConfig config_;
-  HeapKind heap_kind_ = HeapKind::kSegregated;  // effective shard-heap layout
   SizeClasses classes_;  // client-side class computation for stash/routing
   std::vector<std::unique_ptr<ServerHeap>> heaps_;  // one partition per shard
   std::vector<std::unique_ptr<ShardServer>> shard_servers_;
-  // Fabric-wide hugepage frame refcounts (config.hugepage_packing); shared
-  // by every shard's span provider so donated spans stay on backed frames.
+  // Fabric-wide hugepage frame refcounts (config.hugepage_spans); shared by
+  // every shard's span provider so donated spans stay on backed frames.
   std::unique_ptr<HugepageLedger> hugepage_ledger_;
   std::uint64_t shard_window_ = 0;  // bytes of heap window per shard (initial slice)
   std::unique_ptr<SpanDirectory> directory_;  // span->shard owner (num_shards > 1)
@@ -466,8 +463,6 @@ class NgxAllocator : public Allocator {
   bool rebalance_ = false;           // watermark protocol active
   bool in_rebalance_ = false;        // tick reentrancy guard (allocator-wide)
   std::uint64_t span_bytes_ = 0;
-  std::uint64_t grant_unit_spans_ = 0;  // spans per smallest donatable grant
-  std::uint64_t grant_align_ = 0;       // base alignment donated ranges need
   std::uint64_t partition_ooms_ = 0;
   std::uint64_t rebalance_moves_ = 0;
   std::uint64_t inline_fallbacks_ = 0;

@@ -137,10 +137,8 @@ void SpanDirectory::RemoveRecycledRun(int shard, std::uint64_t first, std::uint6
   NGX_CHECK(false, "span run not found in the recycled pool");
 }
 
-Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t alignment) {
+Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans) {
   NGX_CHECK(nspans > 0, "cannot take zero spans");
-  NGX_CHECK(alignment > 0 && (alignment & (alignment - 1)) == 0,
-            "take alignment must be a power of two");
   const std::vector<SpanRun>& runs = recycled_[static_cast<std::size_t>(shard)];
   const std::size_t nruns = runs.size();
   if (nruns == 0) {
@@ -148,8 +146,8 @@ Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t 
   }
   // Next-fit: resume where the last take left off. Refill streams consume
   // the pool roughly in address order, so restarting from run 0 would
-  // rescan every already-rejected (too small / misaligned) run per request
-  // and go quadratic on a fragmented directory.
+  // rescan every already-rejected (too small) run per request and go
+  // quadratic on a fragmented directory.
   std::size_t& cursor = take_cursor_[static_cast<std::size_t>(shard)];
   if (cursor >= nruns) {
     cursor = 0;  // runs shrank since the last take; any valid start works
@@ -157,18 +155,16 @@ Addr SpanDirectory::TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t 
   for (std::size_t k = 0; k < nruns; ++k) {
     const std::size_t i = cursor + k < nruns ? cursor + k : cursor + k - nruns;
     ++take_scan_steps_;
-    const SpanRun& r = runs[i];
-    const Addr base = AlignUp(AddrOfSpan(r.first), alignment);
-    const std::uint64_t first = (base - heap_base_) / span_bytes_;
-    if (first + nspans > r.first + r.count) {
+    const SpanRun r = runs[i];
+    if (r.count < nspans) {
       continue;
     }
     cursor = i;
-    RemoveRecycledRunAt(shard, i, first, nspans);
-    for (std::uint64_t s = first; s < first + nspans; ++s) {
+    RemoveRecycledRunAt(shard, i, r.first, nspans);
+    for (std::uint64_t s = r.first; s < r.first + nspans; ++s) {
       WritableLeaf(s).state[s % kLeafSpans] = State::kUngranted;  // back in a provider window
     }
-    return base;
+    return AddrOfSpan(r.first);
   }
   return kNullAddr;
 }
@@ -227,49 +223,20 @@ int SpanDirectory::ReturnRange(Addr base, std::uint64_t nspans, int from) {
   return home;
 }
 
-Addr SpanDirectory::FindRecycledAwayRun(int shard, std::uint64_t unit_spans,
-                                        std::uint64_t max_units, std::uint64_t alignment,
-                                        int* home, std::uint64_t* nspans) const {
-  NGX_CHECK(unit_spans > 0 && max_units > 0, "return unit sizing must be positive");
-  NGX_CHECK(alignment > 0 && (alignment & (alignment - 1)) == 0,
-            "return alignment must be a power of two");
-  // Stepping by whole units preserves alignment: unit_spans * span_bytes is
-  // a multiple of the grant alignment by construction (both round the span
-  // size up to the backing page).
+Addr SpanDirectory::FindRecycledAwayRun(int shard, std::uint64_t max_spans, int* home,
+                                        std::uint64_t* nspans) const {
+  NGX_CHECK(max_spans > 0, "return run sizing must be positive");
   for (const SpanRun& r : recycled_[static_cast<std::size_t>(shard)]) {
-    const Addr abase = AlignUp(AddrOfSpan(r.first), alignment);
-    std::uint64_t first = (abase - heap_base_) / span_bytes_;
     const std::uint64_t end = r.first + r.count;
-    for (; first + unit_spans <= end; first += unit_spans) {
-      // A returnable unit must be wholly owned by one foreign home.
+    for (std::uint64_t first = r.first; first < end; ++first) {
       const int h = Home(first);
       if (h == shard) {
         continue;
       }
-      bool uniform = true;
-      for (std::uint64_t s = first + 1; s < first + unit_spans; ++s) {
-        if (Home(s) != h) {
-          uniform = false;
-          break;
-        }
-      }
-      if (!uniform) {
-        continue;
-      }
-      // Extend over consecutive same-home units inside the run.
-      std::uint64_t n = unit_spans;
-      while (n / unit_spans < max_units && first + n + unit_spans <= end) {
-        bool extend = true;
-        for (std::uint64_t s = first + n; s < first + n + unit_spans; ++s) {
-          if (Home(s) != h) {
-            extend = false;
-            break;
-          }
-        }
-        if (!extend) {
-          break;
-        }
-        n += unit_spans;
+      // Extend over consecutive same-home spans inside the run.
+      std::uint64_t n = 1;
+      while (n < max_spans && first + n < end && Home(first + n) == h) {
+        ++n;
       }
       *home = h;
       *nspans = n;

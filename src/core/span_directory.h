@@ -83,14 +83,14 @@ class SpanDirectory {
   void NoteMapped(int shard, Addr addr, std::uint64_t bytes);
   void NoteUnmapped(int shard, Addr addr, std::uint64_t bytes);
 
-  // Carves `nspans` contiguous recycled spans (base aligned to `alignment`)
-  // out of `shard`'s recycled pool; they revert to kUngranted and the caller
-  // grafts them onto a provider window (its own: local reuse; another
-  // shard's after TransferRange: donation). Returns kNullAddr if the pool
-  // has no suitable run. The scan resumes from a per-shard next-fit cursor
-  // so repeated refills on a fragmented directory stay amortized-linear
-  // instead of rescanning every unsatisfiable run per request.
-  Addr TakeRecycled(int shard, std::uint64_t nspans, std::uint64_t alignment);
+  // Carves `nspans` contiguous recycled spans out of `shard`'s recycled
+  // pool; they revert to kUngranted and the caller grafts them onto a
+  // provider window (its own: local reuse; another shard's after
+  // TransferRange: donation). Returns kNullAddr if the pool has no run that
+  // long. The scan resumes from a per-shard next-fit cursor so repeated
+  // refills on a fragmented directory stay amortized-linear instead of
+  // rescanning every unsatisfiable run per request.
+  Addr TakeRecycled(int shard, std::uint64_t nspans);
 
   // Moves ownership of `nspans` spans starting at `base` from shard `from`
   // to shard `to`. Every span must be free (not granted) and owned by
@@ -110,13 +110,11 @@ class SpanDirectory {
   // bookkeeping error in every build type (double return).
   int ReturnRange(Addr base, std::uint64_t nspans, int from);
 
-  // Finds a recycled run owned by `shard` whose spans share one home shard
-  // != `shard`, sized in whole `unit_spans` multiples (base aligned to
-  // `alignment`, at most `max_units` units). Returns kNullAddr if the shard
-  // holds no returnable away spans; otherwise *home and *nspans describe the
-  // run for ReturnRange.
-  Addr FindRecycledAwayRun(int shard, std::uint64_t unit_spans, std::uint64_t max_units,
-                           std::uint64_t alignment, int* home,
+  // Finds a recycled run of at most `max_spans` spans owned by `shard`
+  // whose spans share one home shard != `shard`. Returns kNullAddr if the
+  // shard holds no returnable away spans; otherwise *home and *nspans
+  // describe the run for ReturnRange.
+  Addr FindRecycledAwayRun(int shard, std::uint64_t max_spans, int* home,
                            std::uint64_t* nspans) const;
 
   // Free (ungranted + recycled) spans owned by `shard`: the donor-selection

@@ -76,14 +76,14 @@ struct RunResult {
   std::vector<FleetEpoch> fleet_timeline;
   // Map-waste honesty (DESIGN.md §16), copied from the allocator's host-side
   // books (present without telemetry, NgxAllocator runs only): bytes the
-  // shard span providers mapped vs what the heaps actually asked for. The
-  // difference is window burned on hugepage round-up -- 31/32 of every
-  // hugepage-backed span map unless hugepage_packing is on.
+  // shard span providers mapped vs what the heaps actually asked for. With
+  // hugepage spans the difference is the partially filled frontier frames
+  // of the packed providers.
   std::uint64_t map_mapped_bytes = 0;
   std::uint64_t map_requested_bytes = 0;
   std::uint64_t map_waste_bytes = 0;
   // Hugepage frames the packing ledger still holds at end of run (zero
-  // without config.hugepage_packing).
+  // without config.hugepage_spans).
   std::uint64_t hugepage_backed_bytes = 0;
   // Flight-recorder digests (recorder-enabled runs only; DESIGN.md §13):
   // the client x shard traffic matrix, the per-op cycle-attribution totals,

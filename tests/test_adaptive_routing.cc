@@ -289,7 +289,7 @@ TEST(AdaptiveFleet, RingBacklogWakesAParkedShard) {
 TEST(AdaptiveFleet, DrainingShardReturnsGrantedSpansHomeBeforeParking) {
   auto machine = MakeMachine(3);  // client 0, shards on cores 1-2
   NgxConfig cfg = AdaptiveConfig();
-  cfg.hugepage_spans = false;  // 64 KiB grant units
+  cfg.hugepage_spans = false;  // 4-KiB-page spans
   cfg.heap_window = 8 * kMiB;
   cfg.span_donation = true;
   auto sys = MakeNgxSystem(*machine, cfg);

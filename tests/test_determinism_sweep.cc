@@ -77,7 +77,7 @@ RebalanceRunState RunRebalancingChurn(std::uint64_t seed, std::uint32_t free_bat
   Machine machine(MachineConfig::Default(6));
   NgxConfig cfg;
   cfg.num_shards = 2;
-  cfg.hugepage_spans = false;          // 64 KiB grants: donation reachable
+  cfg.hugepage_spans = false;          // 4-KiB-page spans
   cfg.heap_window = 32 * 1024 * 1024;  // 256 spans per shard
   cfg.span_donation = true;
   cfg.span_low_mark = 16;
@@ -229,7 +229,7 @@ RecorderRunState RunRecorderChurn(int shards, HeapKind kind, bool recorder) {
   NgxConfig cfg;
   cfg.num_shards = shards;
   cfg.heap_kind = kind;
-  cfg.hugepage_spans = false;          // 64 KiB grants, like the sweeps above
+  cfg.hugepage_spans = false;          // 4-KiB-page spans, like the sweeps above
   cfg.heap_window = 32 * 1024 * 1024;
   std::vector<int> servers;
   for (int s = 0; s < shards; ++s) {
@@ -484,7 +484,6 @@ std::uint64_t HashedTwoShardXmallocRun() {
   cfg.stash_capacity = 14;
   cfg.heap_kind = HeapKind::kSegment;
   cfg.hugepage_spans = true;
-  cfg.hugepage_packing = true;
   cfg.hugepage_metadata = true;
   cfg.free_batch = 8;
   NgxSystem sys = MakeNgxSystem(machine, cfg, std::vector<int>{4, 5});
@@ -507,16 +506,15 @@ TEST(MultiShardDeterminism, TwoShardXmallocReplaysThePinnedHash) {
 
 // ---- Hugepage knob determinism (DESIGN.md §16) ----
 //
-// hugepage_packing and hugepage_metadata default off, and off must mean OFF:
-// the pipeline run with both knobs explicitly false replays the same pinned
-// hash as the knob-less build. With the full hugepage stack on, the run is
+// hugepage_spans and hugepage_metadata off must mean OFF: the pipeline run
+// with both knobs explicitly false replays the same pinned hash as the
+// knob-less build. With the full hugepage stack on, the run is
 // still a deterministic simulation and the program-visible books are
 // untouched -- the knobs may only move translations and syscalls.
 std::uint64_t HashedTable3HugepageRun(AllocatorStats* stats_out = nullptr) {
   Machine machine(bench::Table3Machine());
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.hugepage_spans = true;
-  cfg.hugepage_packing = true;
   cfg.hugepage_metadata = true;
   cfg.prediction = true;
   cfg.stash_pipeline = true;
@@ -540,7 +538,6 @@ TEST(HugepageDeterminism, ExplicitOffKnobsReplayThePinnedPipelineHash) {
     Machine machine(bench::Table3Machine());
     NgxConfig cfg = NgxConfig::PaperPrototype();
     cfg.hugepage_spans = false;
-    cfg.hugepage_packing = false;   // explicit, not just defaulted
     cfg.hugepage_metadata = false;  // explicit, not just defaulted
     cfg.prediction = true;
     cfg.stash_pipeline = true;
@@ -555,7 +552,7 @@ TEST(HugepageDeterminism, ExplicitOffKnobsReplayThePinnedPipelineHash) {
     return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
   };
   EXPECT_EQ(run(), kTable3PipelineHash)
-      << "hugepage_packing/hugepage_metadata = false must be bit-identical to "
+      << "hugepage_spans/hugepage_metadata = false must be bit-identical to "
          "the pre-§16 build";
 }
 

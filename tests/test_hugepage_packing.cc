@@ -14,8 +14,11 @@
 //    total staying on the ledger when the recipient empties a donor frame;
 //  * hugepage_metadata flips the channel / free-buffer / metadata regions
 //    to 2-MiB backing (and leaves them on 4 KiB when off);
-//  * a randomized malloc/free fabric stress with packing + donation armed,
-//    audited against the span-directory invariants, with the map-waste
+//  * construction rejects the retired unpacked mode (hugepage_packing =
+//    false);
+//  * a randomized malloc/free fabric stress with packing + donation armed
+//    (explicitly and through the NgxConfig{} defaults), audited against the
+//    span-directory invariants and single-span grants, with the map-waste
 //    bound checked at the end.
 #include <gtest/gtest.h>
 
@@ -260,7 +263,6 @@ TEST(PackedProvider, CrossProviderReleaseKeepsTheFabricTotalOnTheLedger) {
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.num_shards = 2;
   cfg.hugepage_spans = true;
-  cfg.hugepage_packing = true;
   cfg.heap_window = 2 * 4 * kMiB;  // 4 MiB (two frames) per shard
   auto sys = MakeNgxSystem(*machine, cfg);
   NgxAllocator& a = *sys.allocator;
@@ -282,7 +284,7 @@ TEST(PackedProvider, CrossProviderReleaseKeepsTheFabricTotalOnTheLedger) {
   // donor's still-backed frame.
   const Addr own = recipient.Map(env, 4 * kMiB, PageKind::kHuge2M);
   ASSERT_NE(own, kNullAddr);
-  const Addr base = dir.TakeRecycled(0, 1, kSpan);
+  const Addr base = dir.TakeRecycled(0, 1);
   ASSERT_EQ(base, given);
   dir.TransferRange(base, 1, 0, 1);
   recipient.AddRange(base, kSpan);
@@ -305,6 +307,16 @@ TEST(PackedProvider, CrossProviderReleaseKeepsTheFabricTotalOnTheLedger) {
   EXPECT_EQ(a.map_mapped_bytes(), 0u);
   EXPECT_EQ(a.map_requested_bytes(), 0u);
   EXPECT_EQ(a.map_waste_bytes(), 0u);
+}
+
+// Unpacked hugepage spans (one 64-KiB span per 2-MiB map) are retired: the
+// only way the fabric backs spans with hugepages is packed onto the ledger.
+TEST(PackedProviderDeathTest, UnpackedHugepageSpansAreRetired) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.hugepage_packing = false;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg),
+                            "unpacked hugepage spans are retired");
 }
 
 // ---- hugepage_metadata backing ----
@@ -383,16 +395,20 @@ void AuditDirectory(const SpanDirectory& d) {
   EXPECT_LE(d.total_returned(), d.total_donated());
 }
 
-class PackedRebalanceStress
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+// (seed, shards, defaulted): a defaulted run leaves every hugepage knob at
+// its NgxConfig{} value, which must already be the packed fabric.
+using StressParam = std::tuple<std::uint64_t, int, bool>;
+
+class PackedRebalanceStress : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(PackedRebalanceStress, PackedGrantDonateReturnKeepsEveryInvariant) {
-  const auto [seed, shards] = GetParam();
+  const auto [seed, shards, defaulted] = GetParam();
   auto machine = MakeMachine(shards + 2);
-  NgxConfig cfg = NgxConfig::PaperPrototype();
+  NgxConfig cfg;
   cfg.num_shards = shards;
-  cfg.hugepage_spans = true;
-  cfg.hugepage_packing = true;  // 64-KiB grants again: donation reachable
+  if (!defaulted) {
+    cfg.hugepage_spans = true;
+  }
   cfg.heap_window = static_cast<std::uint64_t>(shards) * 4 * kMiB;
   cfg.span_donation = true;
   cfg.span_low_mark = 8;
@@ -408,6 +424,18 @@ TEST_P(PackedRebalanceStress, PackedGrantDonateReturnKeepsEveryInvariant) {
       }
     }
   }
+  // Every span grant is exactly one 64-KiB span of window: the directory's
+  // granted spans cover precisely the bytes the heaps asked their providers
+  // for, where a 2-MiB-per-span map would have granted 32 spans per request.
+  const SpanDirectory& dir = *sys.allocator->directory();
+  std::uint64_t granted = 0;
+  for (int s = 0; s < shards; ++s) {
+    granted += dir.granted_spans(s);
+  }
+  EXPECT_EQ(granted * kSpan, sys.allocator->map_requested_bytes());
+  EXPECT_GT(dir.total_donated(), 0u) << "the skewed slices must force donations";
+  ASSERT_NE(sys.allocator->hugepage_ledger(), nullptr) << "hugepage spans attach the ledger";
+  EXPECT_GT(sys.allocator->hugepage_ledger()->backed_bytes(), 0u);
   ex.FreeAll(0);
   for (int core = 0; core < 2; ++core) {
     Env env(*machine, core);
@@ -420,12 +448,10 @@ TEST_P(PackedRebalanceStress, PackedGrantDonateReturnKeepsEveryInvariant) {
   EXPECT_EQ(stats.bytes_live, 0u);
   EXPECT_EQ(sys.allocator->partition_oom_failures(), 0u);
   // Map-waste honesty: packed waste is bounded by partially-filled frontier
-  // frames (at most ~2 per shard once donation splits a frame), nowhere near
-  // the 31/32 burn of unpacked hugepage spans.
+  // frames (at most ~2 per shard once donation splits a frame).
   EXPECT_LE(sys.allocator->map_waste_bytes(),
             2 * static_cast<std::uint64_t>(shards) * kHugePageBytes);
   // And the ledger's fabric-wide view agrees with the per-provider books.
-  ASSERT_NE(sys.allocator->hugepage_ledger(), nullptr);
   EXPECT_EQ(sys.allocator->hugepage_ledger()->backed_bytes(),
             sys.allocator->map_mapped_bytes())
       << "per-provider mapped bytes must sum to the ledger's backed frames";
@@ -433,11 +459,14 @@ TEST_P(PackedRebalanceStress, PackedGrantDonateReturnKeepsEveryInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsByShards, PackedRebalanceStress,
-    ::testing::Combine(::testing::Values<std::uint64_t>(1, 42, 0xdeadbeef),
-                       ::testing::Values(2, 4)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& tpi) {
+    ::testing::Values(StressParam{1, 2, false}, StressParam{1, 4, false},
+                      StressParam{42, 2, false}, StressParam{42, 4, false},
+                      StressParam{0xdeadbeef, 2, false}, StressParam{0xdeadbeef, 4, false},
+                      StressParam{7, 4, true}),
+    [](const ::testing::TestParamInfo<StressParam>& tpi) {
       return "seed" + std::to_string(std::get<0>(tpi.param)) + "_shards" +
-             std::to_string(std::get<1>(tpi.param));
+             std::to_string(std::get<1>(tpi.param)) +
+             (std::get<2>(tpi.param) ? "_defaulted" : "");
     });
 
 }  // namespace

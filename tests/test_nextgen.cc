@@ -29,7 +29,7 @@ TEST_P(NgxMatrixTest, ShadowHeapInvariantsHold) {
   NgxConfig cfg;
   cfg.offload = c.offload;
   cfg.async_free = c.async_free;
-  cfg.segregated_metadata = c.segregated;
+  cfg.heap_kind = c.segregated ? HeapKind::kSegregated : HeapKind::kAggregated;
   cfg.remove_atomics = c.remove_atomics;
   cfg.prediction = c.prediction;
   NgxSystem sys = MakeNgxSystem(*machine, cfg, /*server_core=*/2);

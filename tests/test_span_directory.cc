@@ -40,8 +40,8 @@ TEST(SpanDirectory, MapUnmapRecycleRoundTrip) {
   d.NoteUnmapped(0, kNgxHeapBase, 2 * kSpan);
   EXPECT_EQ(d.free_spans(0), 64u);
   // The recycled run is directly re-grantable.
-  EXPECT_EQ(d.TakeRecycled(0, 2, kSpan), kNgxHeapBase);
-  EXPECT_EQ(d.TakeRecycled(0, 1, kSpan), kNullAddr) << "pool drained";
+  EXPECT_EQ(d.TakeRecycled(0, 2), kNgxHeapBase);
+  EXPECT_EQ(d.TakeRecycled(0, 1), kNullAddr) << "pool drained";
   EXPECT_EQ(d.free_spans(0), 64u) << "taken spans return to the provider window";
 }
 
@@ -113,13 +113,11 @@ TEST(SpanDirectory, FirstWriteAllocatesOnlyItsLeaf) {
 }
 
 // A short sharded run touches the start of each shard's slice, not the
-// window: at most one leaf per shard. Packed hugepage spans, because
-// unpacked ones consume a whole 2-MiB frame of window per 64-KiB grant.
+// window: at most one leaf per shard.
 TEST(SpanDirectory, ShortFabricRunKeepsFewLeavesResident) {
   auto machine = MakeMachine(6);
   NgxConfig cfg;
   cfg.num_shards = 2;
-  cfg.hugepage_packing = true;
   auto sys = MakeNgxSystem(*machine, cfg);
   ASSERT_EQ(sys.allocator->directory()->resident_leaves(), 0u);
   Env env(*machine, 0);
@@ -142,7 +140,7 @@ TEST(SpanDirectory, ShortFabricRunKeepsFewLeavesResident) {
 NgxConfig DonationConfig() {
   NgxConfig cfg;  // offloaded, async frees, segregated metadata
   cfg.num_shards = 2;
-  cfg.hugepage_spans = false;   // 64 KiB grants, exhaustion reachable
+  cfg.hugepage_spans = false;   // 4-KiB-page spans
   cfg.heap_window = 8 * kMiB;   // 4 MiB (64 spans) per shard
   cfg.span_donation = true;
   return cfg;

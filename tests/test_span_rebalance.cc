@@ -231,7 +231,7 @@ class DirectoryStress {
 
   void StepTake(int s) {
     const std::uint64_t n = 1ull << rng_.Below(3);  // 1, 2 or 4 spans
-    const Addr base = d_.TakeRecycled(s, n, kSpan);
+    const Addr base = d_.TakeRecycled(s, n);
     if (base == kNullAddr) {
       return;
     }
@@ -283,7 +283,7 @@ class DirectoryStress {
   void StepReturn(int s) {
     int home = -1;
     std::uint64_t n = 0;
-    const Addr base = d_.FindRecycledAwayRun(s, 1, 1 + rng_.Below(4), kSpan, &home, &n);
+    const Addr base = d_.FindRecycledAwayRun(s, 1 + rng_.Below(4), &home, &n);
     if (base == kNullAddr) {
       return;
     }
@@ -403,7 +403,7 @@ INSTANTIATE_TEST_SUITE_P(
 NgxConfig RebalanceConfig(int shards) {
   NgxConfig cfg;  // offloaded, async frees, segregated metadata
   cfg.num_shards = shards;
-  cfg.hugepage_spans = false;  // 64 KiB grants, watermark traffic reachable
+  cfg.hugepage_spans = false;  // 4-KiB-page spans
   cfg.heap_window = static_cast<std::uint64_t>(shards) * 4 * kMiB;  // 64 spans/shard
   cfg.span_donation = true;
   cfg.span_low_mark = 8;
@@ -627,7 +627,7 @@ TEST(SpanRebalanceProtocol, ReturnSpanGraftsAtTheHomeShard) {
   d.NoteUnmapped(0, base, 2 * kSpan);
   int home = -1;
   std::uint64_t n = 0;
-  ASSERT_EQ(d.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n), base);
+  ASSERT_EQ(d.FindRecycledAwayRun(0, 16, &home, &n), base);
   EXPECT_EQ(home, 1);
   EXPECT_EQ(n, 2u);
   // Sender side first (ownership moves before the message), then the wire op
@@ -673,7 +673,7 @@ TEST(SpanRebalanceWatermark, ProactiveRefillKeepsTheInlineFallbackIdle) {
   // Release the burst. Every donated span that was actually consumed (mapped
   // then unmapped) must flow home; only the refill's unconsumed headroom --
   // kUngranted spans sitting inside shard 0's provider window, bounded by
-  // the low mark plus one grant unit -- may legitimately stay away.
+  // the low mark plus one span -- may legitimately stay away.
   for (const Addr a : blocks) {
     sys.allocator->Free(env, a);
   }
@@ -681,10 +681,10 @@ TEST(SpanRebalanceWatermark, ProactiveRefillKeepsTheInlineFallbackIdle) {
   int home = -1;
   std::uint64_t n = 0;
   for (int i = 0;
-       i < 50 && d.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n) != kNullAddr; ++i) {
+       i < 50 && d.FindRecycledAwayRun(0, 16, &home, &n) != kNullAddr; ++i) {
     sys.fabric->DrainAll();
   }
-  EXPECT_EQ(d.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n), kNullAddr)
+  EXPECT_EQ(d.FindRecycledAwayRun(0, 16, &home, &n), kNullAddr)
       << "returns never drained the recycled away set";
   const std::uint64_t residue = d.away_spans(0);
   EXPECT_LE(residue, cfg.span_low_mark + 1) << "more than refill headroom stayed away";
@@ -791,10 +791,10 @@ TEST(SpanRebalanceWatermark, TimerReachesAShardTheIdleWindowCannotReach) {
   ASSERT_EQ(d_off.away_spans(0), d_on.away_spans(0));
   int home = -1;
   std::uint64_t n = 0;
-  const Addr stuck = d_on.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n);
+  const Addr stuck = d_on.FindRecycledAwayRun(0, 16, &home, &n);
   ASSERT_NE(stuck, kNullAddr)
       << "returns completed during the burst; nothing left for the tail";
-  ASSERT_EQ(d_off.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n), stuck);
+  ASSERT_EQ(d_off.FindRecycledAwayRun(0, 16, &home, &n), stuck);
   const std::uint64_t moves_before = sys_off.allocator->rebalance_moves();
   ASSERT_EQ(moves_before, sys_on.allocator->rebalance_moves());
 
@@ -819,7 +819,7 @@ TEST(SpanRebalanceWatermark, TimerReachesAShardTheIdleWindowCannotReach) {
   }
   // Without the timer: not one background move in 20 rounds of pure time.
   EXPECT_EQ(sys_off.allocator->rebalance_moves(), moves_before);
-  EXPECT_EQ(d_off.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n), stuck);
+  EXPECT_EQ(d_off.FindRecycledAwayRun(0, 16, &home, &n), stuck);
 
   run_tail(*m_on, 20);
   if (::testing::Test::HasFatalFailure()) {
@@ -827,7 +827,7 @@ TEST(SpanRebalanceWatermark, TimerReachesAShardTheIdleWindowCannotReach) {
   }
   // With it: the catch-up tick fires each round and the returns converge.
   EXPECT_GT(sys_on.allocator->rebalance_moves(), moves_before);
-  EXPECT_EQ(d_on.FindRecycledAwayRun(0, 1, 16, kSpan, &home, &n), kNullAddr)
+  EXPECT_EQ(d_on.FindRecycledAwayRun(0, 16, &home, &n), kNullAddr)
       << "timer ticks never finished sending recycled away spans home";
   EXPECT_EQ(d_on.away_spans(0), 0u);
   EXPECT_EQ(d_on.free_spans(0), 64u) << "the home split must be restored";
@@ -859,7 +859,7 @@ TEST(SpanRebalanceCursor, FragmentedTakesStayAmortizedLinear) {
   const std::uint64_t steps_before = d.take_scan_steps();
   Addr prev = kNullAddr;
   for (int i = 0; i < 256; ++i) {
-    const Addr base = d.TakeRecycled(0, 2, kSpan);
+    const Addr base = d.TakeRecycled(0, 2);
     ASSERT_NE(base, kNullAddr) << "take " << i << " found no two-span run";
     EXPECT_NE(base, prev) << "the same run was handed out twice";
     prev = base;
