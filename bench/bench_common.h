@@ -233,7 +233,7 @@ inline MachineConfig Table3Machine() {
 // PMU counters and the allocator's own books. Two runs that agree here went
 // through the same simulated history as far as any reported number can
 // tell -- the bit-identity oracle behind "the flight recorder is purely
-// observational" and "an all-default tenant list changes nothing".
+// observational" and every pinned final-state hash.
 inline std::uint64_t SimStateHash(const RunResult& r) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {

@@ -17,8 +17,7 @@ import sys
 import traceback
 
 # bench_table3_nextgen's pipeline rung (prediction + pipelined stash, no
-# tenants, no hugepage knobs), replayed by the tenant-QoS and hugepage
-# ablations' all-default cells.
+# hugepage knobs), replayed by the hugepage ablation's baseline cell.
 PIPELINE_HASH = "c341e49c161c6028"
 
 
@@ -74,22 +73,6 @@ def adaptive_routing(results_dir):
     print("busiest-shard sync p99 %d -> %d, %d shards parked, %d parked kcycles" % (
         m["busiest_sync_p99_least_loaded"], m["busiest_sync_p99_adaptive"],
         m["shards_parked_adaptive"], m["parked_core_cycles_adaptive"] // 1000))
-
-
-# Tenant-QoS claims (DESIGN.md §15): under the skewed four-tenant mix the
-# latency tenant's sync p99 with lanes on must stay within 2x of its
-# run-alone p99 (lanes off it queues unboundedly behind the throughput
-# tenant's windows), and the traits layer itself must be free: an all-default
-# tenant list replays bench_table3_nextgen's pinned pipeline hash bit for bit.
-def tenant_qos(results_dir):
-    m = load(results_dir, "ablation_tenant_qos")["metrics"]
-    assert m["isolation_ratio_lanes_on"] <= 2.0, m
-    assert m["isolation_ratio_lanes_off"] > m["isolation_ratio_lanes_on"], m
-    assert m["traits_bit_identical"] is True, m
-    assert m["final_state_hash"] == PIPELINE_HASH, m
-    print("frontend sync p99 vs alone: lanes off %.2fx -> lanes on %.2fx; hash %s" % (
-        m["isolation_ratio_lanes_off"], m["isolation_ratio_lanes_on"],
-        m["final_state_hash"]))
 
 
 # Hugepage packing + metadata claims (DESIGN.md §16): with hugepage spans
@@ -158,8 +141,7 @@ def flight_recorder(results_dir):
         buckets, total, len(snaps)))
 
 
-CLAIMS = (stash_pipeline, server_carve, adaptive_routing, tenant_qos, hugepage,
-          flight_recorder)
+CLAIMS = (stash_pipeline, server_carve, adaptive_routing, hugepage, flight_recorder)
 
 
 def main(argv):

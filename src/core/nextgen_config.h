@@ -1,19 +1,28 @@
-// Configuration knobs for NextGen-Malloc, matching the paper's research
-// questions one for one:
-//  * offload / server core type  -> Sections 3.1.1, 3.2
-//  * metadata layout             -> Section 3.1.2 (Figure 2)
-//  * remove_atomics              -> Section 3.1.3
-//  * async_free                  -> Section 3.1.2 ("free is not on the
-//                                   critical path and can run asynchronously")
-//  * prediction                  -> Section 3.3.2 (predictive preallocation)
+// Configuration knobs for NextGen-Malloc. One NgxConfig is the contract of
+// the whole fabric: every client core and every shard runs these values.
+// The paper's research questions map onto them as follows:
+//  * offload, num_shards, routing,  -> Sections 3.1.1, 3.2 (the server
+//    placement                         core's type is a MachineConfig
+//                                      property, not a knob here)
+//  * heap_kind                      -> Section 3.1.2 (Figure 2)
+//  * remove_atomics                 -> Section 3.1.3
+//  * async_free, free_batch         -> Section 3.1.2 ("free is not on the
+//                                      critical path and can run
+//                                      asynchronously")
+//  * prediction, stash_pipeline     -> Section 3.3.2 (predictive
+//                                      preallocation)
+// The rest size the fabric's own mechanisms: span_donation, span_low_mark,
+// span_high_mark and watermark_timer_cycles (DESIGN.md §7-§8);
+// hugepage_spans and hugepage_metadata (§16; hugepage_packing is retired and
+// must stay true); adaptive_routing and its epoch and fleet bounds (§14);
+// empty_segment_retain (§10); max_predict_batch, stash_capacity,
+// stash_refill_mark, ring_capacity and heap_window.
 #ifndef NGX_SRC_CORE_NEXTGEN_CONFIG_H_
 #define NGX_SRC_CORE_NEXTGEN_CONFIG_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/core/heap_kind.h"
-#include "src/core/tenant_traits.h"
 #include "src/offload/routing.h"
 
 namespace ngx {
@@ -169,22 +178,6 @@ struct NgxConfig {
   // parked shard's own backlog or the busiest active shard's depth reaching
   // this many entries.
   std::uint64_t wake_queue_depth = 16;
-  // Per-tenant traits (DESIGN.md §15): named contracts binding client cores
-  // to preset/override knobs -- stash capacity and refill mark, free_batch,
-  // watermark spans, home-shard carve layout and cluster placement --
-  // resolved at registration instead of every tenant riding the global
-  // values above. Empty (the default) keeps the single implicit tenant and
-  // is bit-identical to pre-traits builds; so is a list whose every entry
-  // inherits everything.
-  std::vector<TenantSpec> tenants;
-  // QoS lanes where tenants meet (DESIGN.md §15): sync-bound drains serve
-  // latency-lane rings first, and a bulk-lane tenant's eager/backpressure
-  // drains are admitted at most lane_quantum entries per window, bounding
-  // how far a free batch can run the server clock ahead of a latency
-  // tenant's next sync request. False = the historical drain-everything
-  // admission, bit-identical whatever the tenant lanes say.
-  bool qos_lanes = false;
-  std::uint32_t lane_quantum = 8;
 
   // Server-core placement policy used by MakeNgxSystem's placed overload.
   PlacementKind placement = PlacementKind::kContiguous;

@@ -95,18 +95,9 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   NGX_CHECK(config.span_low_mark == 0 || config.span_high_mark > config.span_low_mark,
             "span_high_mark must exceed span_low_mark");
   rebalance_ = donation_ && config.span_low_mark > 0;
-  // Per-tenant traits (DESIGN.md §15): resolve the tenant list into per-core
-  // effective knobs and per-shard carve/watermark contracts before anything
-  // is sized or constructed from them. With config.tenants empty this fills
-  // every vector with the global values -- all downstream paths then compute
-  // byte-identically to pre-traits builds.
-  ResolveTenants(machine, nshards, fabric != nullptr ? &fabric->server_cores() : nullptr);
   heaps_.reserve(static_cast<std::size_t>(nshards));
   shard_servers_.reserve(static_cast<std::size_t>(nshards));
   for (int s = 0; s < nshards; ++s) {
-    // A tenant homed on this shard may have specialized its carve layout
-    // (shard_heap_kind_ equals config.heap_kind otherwise).
-    hc.heap_kind = shard_heap_kind_[static_cast<std::size_t>(s)];
     heaps_.push_back(MakeServerHeap(machine,
                                     kNgxHeapBase + shard_window_ * static_cast<std::uint64_t>(s),
                                     kNgxMetaBase + meta_stride * static_cast<std::uint64_t>(s),
@@ -136,10 +127,8 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   }
   NGX_CHECK(config.free_batch >= 1 && config.free_batch <= config.ring_capacity,
             "free_batch must fit in one async ring");
-  if (config.offload && max_free_batch_ > 1) {
-    // Slots sized by the deepest tenant batch: per-core capacities bound how
-    // much of a slot each core uses, never where slots live.
-    freebuf_slot_ = AlignUp(IndexStack::FootprintBytes(max_free_batch_), 64);
+  if (config.offload && config.free_batch > 1) {
+    freebuf_slot_ = AlignUp(IndexStack::FootprintBytes(config.free_batch), 64);
     freebuf_stride_ =
         AlignUp(freebuf_slot_ * static_cast<std::uint64_t>(nshards), kSmallPageBytes);
     freebuf_provider_ = std::make_unique<PageProvider>(kNgxFreeBufBase, kHeapWindow,
@@ -187,24 +176,12 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
       spill_depth_ = config.stash_capacity > 2 * kPipeHalfCap
                          ? config.stash_capacity - 2 * kPipeHalfCap
                          : 0;
-      // Logical depths follow each core's tenant; the slot layout below is
-      // sized by the deepest spill stack in the fleet (== spill_depth_ when
-      // no tenant overrides, keeping addresses byte-identical).
-      std::uint32_t max_spill = 0;
-      for (int c = 0; c < machine.num_cores(); ++c) {
-        const std::uint32_t cap = core_stash_cap_[static_cast<std::size_t>(c)];
-        core_pipe_cap_[static_cast<std::size_t>(c)] =
-            std::min<std::uint32_t>(cap, kPipeHalfCap);
-        core_spill_depth_[static_cast<std::size_t>(c)] =
-            cap > 2 * kPipeHalfCap ? cap - 2 * kPipeHalfCap : 0;
-        max_spill = std::max(max_spill, core_spill_depth_[static_cast<std::size_t>(c)]);
-      }
       stash_half_bytes_ = 64;
-      stash_slot_ = 2 * stash_half_bytes_ + AlignUp(8ull * max_spill, 64);
+      stash_slot_ = 2 * stash_half_bytes_ + AlignUp(8ull * spill_depth_, 64);
       pipes_.assign(static_cast<std::size_t>(machine.num_cores()) * classes_.num_classes(),
                     StashPipe{});
     } else {
-      stash_slot_ = AlignUp(IndexStack::FootprintBytes(max_stash_cap_), 64);
+      stash_slot_ = AlignUp(IndexStack::FootprintBytes(config.stash_capacity), 64);
     }
     stash_stride_ = AlignUp(stash_slot_ * classes_.num_classes(), kSmallPageBytes);
     stash_provider_ = std::make_unique<PageProvider>(
@@ -273,24 +250,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
         });
     timer_hook_ids_.push_back(epoch_timer_id_);
   }
-  // QoS lanes + tenant labels on the fabric (DESIGN.md §15). Lane and label
-  // assignment is observational until lane admission is enabled; home-shard
-  // pins route a tenant's mallocs to its contracted shard.
-  if (fabric != nullptr && !config.tenants.empty()) {
-    for (int c = 0; c < machine.num_cores(); ++c) {
-      const int t = core_tenant_[static_cast<std::size_t>(c)];
-      if (t >= 0) {
-        fabric->set_client_lane(c, core_lane_[static_cast<std::size_t>(c)]);
-        fabric->set_client_label(c, tenant_names_[static_cast<std::size_t>(t)]);
-      }
-      if (core_home_shard_[static_cast<std::size_t>(c)] >= 0) {
-        fabric->set_client_home_shard(c, core_home_shard_[static_cast<std::size_t>(c)]);
-      }
-    }
-  }
-  if (fabric != nullptr && config.qos_lanes) {
-    fabric->set_lane_admission(config.lane_quantum);
-  }
   // Flight-recorder wiring (host-side only; inert until the recorder is
   // enabled). The snapshot source lets Machine's periodic cadence and the
   // runner's end-of-run walk reach this allocator's heaps.
@@ -314,138 +273,6 @@ NgxAllocator::~NgxAllocator() {
   if (rebalance_ && fabric_ != nullptr) {
     for (int s = 0; s < num_shards(); ++s) {
       fabric_->set_post_drain_hook(s, nullptr);
-    }
-  }
-}
-
-void NgxAllocator::ResolveTenants(const Machine& machine, int nshards,
-                                  const std::vector<int>* server_cores) {
-  // Stage 1: every core and shard starts on the global contract. With no
-  // tenants configured this is the whole function, and because the per-core
-  // values then EQUAL the globals, every consumer (stash layout, free
-  // batching, refill marks, watermarks) computes byte-identically to the
-  // pre-traits build.
-  const std::size_t ncores = static_cast<std::size_t>(machine.num_cores());
-  tenant_names_.clear();
-  core_tenant_.assign(ncores, -1);
-  core_stash_cap_.assign(ncores, config_.stash_capacity);
-  core_refill_mark_.assign(ncores, config_.stash_refill_mark);
-  core_free_batch_.assign(ncores, config_.free_batch);
-  core_pipe_cap_.assign(ncores, 0);   // filled by the pipeline sizing pass
-  core_spill_depth_.assign(ncores, 0);
-  core_lane_.assign(ncores, QosLane::kNormal);
-  core_home_shard_.assign(ncores, -1);
-  shard_heap_kind_.assign(static_cast<std::size_t>(nshards), config_.heap_kind);
-  shard_low_mark_.assign(static_cast<std::size_t>(nshards), config_.span_low_mark);
-  shard_high_mark_.assign(static_cast<std::size_t>(nshards), config_.span_high_mark);
-  max_stash_cap_ = config_.stash_capacity;
-  max_free_batch_ = config_.free_batch;
-  NGX_CHECK(!config_.qos_lanes || config_.lane_quantum > 0,
-            "qos_lanes needs a nonzero lane_quantum");
-  if (config_.tenants.empty()) {
-    return;
-  }
-  // Stage 2: overlay each tenant's contract onto the cores it claims.
-  // Validation happens here, once, at registration -- the hot paths index
-  // the resolved vectors without re-checking anything.
-  const bool will_pipeline = config_.offload && config_.prediction &&
-                             config_.stash_pipeline && config_.stash_refill_mark > 0;
-  // Shard-scoped traits (carve layout, watermarks) come from the tenants
-  // homed on the shard; two tenants meeting on one shard must agree.
-  std::vector<int> kind_owner(static_cast<std::size_t>(nshards), -1);
-  std::vector<int> mark_owner(static_cast<std::size_t>(nshards), -1);
-  for (const TenantSpec& spec : config_.tenants) {
-    NGX_CHECK(!spec.name.empty(), "tenant needs a name (it labels telemetry series)");
-    for (const std::string& seen : tenant_names_) {
-      NGX_CHECK(seen != spec.name, "duplicate tenant name");
-    }
-    const int t_idx = static_cast<int>(tenant_names_.size());
-    tenant_names_.push_back(spec.name);
-    const TenantTraits& t = spec.traits;
-    // The pipeline's stash layout is [half 0][half 1][spill]: a capacity
-    // override below two halves cannot host the protocol's publish word
-    // dance, so it is rejected rather than silently clamped.
-    NGX_CHECK(!will_pipeline || t.stash_capacity == TenantTraits::kInherit ||
-                  t.stash_capacity >= 2 * kPipeHalfCap,
-              "tenant stash capacity below the pipeline's two-half minimum");
-    NGX_CHECK(t.stash_capacity == TenantTraits::kInherit || t.stash_capacity >= 1,
-              "tenant stash capacity must be nonzero");
-    // Lane admission drains bulk backlogs in free_batch-granular quanta; a
-    // zero batch would admit doorbells carrying nothing, so the combination
-    // is rejected before the generic ring-capacity bound.
-    NGX_CHECK(!config_.qos_lanes || t.free_batch != 0,
-              "tenant free_batch=0 with QoS lanes on");
-    NGX_CHECK(t.free_batch == TenantTraits::kInherit ||
-                  (t.free_batch >= 1 && t.free_batch <= config_.ring_capacity),
-              "tenant free_batch must fit in one async ring");
-    const bool has_low = t.span_low_mark != TenantTraits::kInherit64;
-    const bool has_high = t.span_high_mark != TenantTraits::kInherit64;
-    NGX_CHECK(has_low == has_high,
-              "tenant watermark overrides must set both marks or neither");
-    if (has_low) {
-      NGX_CHECK(config_.span_low_mark > 0,
-                "tenant watermark overrides need the global rebalance protocol on");
-      NGX_CHECK(t.span_high_mark > t.span_low_mark,
-                "tenant span_high_mark must exceed span_low_mark");
-    }
-    NGX_CHECK(t.home_shard < nshards, "tenant home_shard out of range");
-    for (const int c : spec.cores) {
-      NGX_CHECK(c >= 0 && c < machine.num_cores(), "tenant core out of range");
-      if (server_cores != nullptr) {
-        for (const int sc : *server_cores) {
-          NGX_CHECK(sc != c, "tenant claims a shard server core");
-        }
-      }
-      const std::size_t ci = static_cast<std::size_t>(c);
-      NGX_CHECK(core_tenant_[ci] < 0, "core claimed by two tenants");
-      core_tenant_[ci] = static_cast<std::int16_t>(t_idx);
-      if (t.stash_capacity != TenantTraits::kInherit) {
-        core_stash_cap_[ci] = t.stash_capacity;
-      }
-      if (t.stash_refill_mark != TenantTraits::kInherit) {
-        core_refill_mark_[ci] = t.stash_refill_mark;
-      }
-      if (t.free_batch != TenantTraits::kInherit) {
-        core_free_batch_[ci] = t.free_batch;
-      }
-      core_lane_[ci] = t.lane;
-      // Home resolution: an explicit pin wins; the NUMA-local preset walks
-      // the cluster topology for a shard whose server core shares this
-      // client's cluster (first match, deterministic).
-      int home = t.home_shard;
-      if (home < 0 && t.preset == TenantPreset::kNumaLocal &&
-          server_cores != nullptr && machine.config().cluster_cores > 0) {
-        const int k = machine.config().cluster_cores;
-        for (int s = 0; s < nshards; ++s) {
-          if ((*server_cores)[static_cast<std::size_t>(s)] / k == c / k) {
-            home = s;
-            break;
-          }
-        }
-      }
-      core_home_shard_[ci] = home;
-      // Shard-scoped traits bind to the resolved home, or to the core's
-      // static route when unpinned (the shard its mallocs reach under
-      // static_by_client).
-      const std::size_t hs =
-          static_cast<std::size_t>(home >= 0 ? home : c % nshards);
-      if (t.has_heap_kind) {
-        NGX_CHECK(kind_owner[hs] < 0 || shard_heap_kind_[hs] == t.heap_kind,
-                  "tenants sharing a shard bind conflicting heap kinds");
-        shard_heap_kind_[hs] = t.heap_kind;
-        kind_owner[hs] = t_idx;
-      }
-      if (has_low) {
-        NGX_CHECK(mark_owner[hs] < 0 ||
-                      (shard_low_mark_[hs] == t.span_low_mark &&
-                       shard_high_mark_[hs] == t.span_high_mark),
-                  "tenants sharing a shard bind conflicting watermarks");
-        shard_low_mark_[hs] = t.span_low_mark;
-        shard_high_mark_[hs] = t.span_high_mark;
-        mark_owner[hs] = t_idx;
-      }
-      max_stash_cap_ = std::max(max_stash_cap_, core_stash_cap_[ci]);
-      max_free_batch_ = std::max(max_free_batch_, core_free_batch_[ci]);
     }
   }
 }
@@ -617,8 +444,8 @@ void NgxAllocator::Free(Env& env, Addr addr) {
     frec->matrix().NoteFree(env.core_id(), shard);
   }
   if (config_.async_free) {
-    if (core_free_batch_[static_cast<std::size_t>(env.core_id())] > 1) {
-      // Buffer locally; one ring doorbell per this tenant's free_batch.
+    if (config_.free_batch > 1) {
+      // Buffer locally; one ring doorbell per free_batch entries.
       IndexStack buf = FreeBuf(env.core_id(), shard);
       if (!buf.Push(env, addr)) {
         FlushFreeBuf(env, shard);
@@ -657,7 +484,7 @@ bool NgxAllocator::StashPopActive(Env& env, int core, std::uint32_t cls, Addr* o
 bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr) {
   StashPipe& pipe = Pipe(core, cls);
   const std::uint32_t count = pipe.count[pipe.active];
-  if (count < core_pipe_cap_[static_cast<std::size_t>(core)]) {
+  if (count < pipe_cap_) {
     // One timed store -- the entry itself, at the active half's top, where
     // the very next pop of this class returns it (depth-1 LIFO). The count
     // bump is the register mirror.
@@ -665,7 +492,7 @@ bool NgxAllocator::StashRecycle(Env& env, int core, std::uint32_t cls, Addr addr
     pipe.count[pipe.active] = count + 1;
     return true;
   }
-  if (pipe.spill < core_spill_depth_[static_cast<std::size_t>(core)]) {
+  if (pipe.spill < spill_depth_) {
     // Active half full (a free burst): retain the block client-side on the
     // spill stack rather than shipping it to the server only to refill it
     // back later. Spill lines are touched by no other core, so this is one
@@ -766,15 +593,13 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
 void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t remaining) {
   const int core = env.core_id();
   StashPipe& pipe = Pipe(core, cls);
-  if (pipe.in_flight ||
-      remaining > core_refill_mark_[static_cast<std::size_t>(core)] + pipe.lead) {
+  if (pipe.in_flight || remaining > config_.stash_refill_mark + pipe.lead) {
     return;
   }
   if (pipe.count[pipe.active ^ 1] > 0 || pipe.spill > 0) {
     return;  // client-held blocks remain; they are hotter than any refill
   }
-  const std::uint32_t want =
-      predictor_->RefillSize(core, cls, core_pipe_cap_[static_cast<std::size_t>(core)]);
+  const std::uint32_t want = predictor_->RefillSize(core, cls, pipe_cap_);
   if (want == 0) {
     return;  // stream too cold; the next miss pays the sync trip and warms it
   }
@@ -819,8 +644,7 @@ void NgxAllocator::FlipStash(Env& env, int core, std::uint32_t cls) {
     // The refill was posted too late for this stream: post the next one an
     // entry earlier (additive increase, never past the last pop of a full
     // half).
-    const std::size_t ci = static_cast<std::size_t>(core);
-    if (core_refill_mark_[ci] + pipe.lead + 1 < core_pipe_cap_[ci]) {
+    if (config_.stash_refill_mark + pipe.lead + 1 < pipe_cap_) {
       ++pipe.lead;
     }
   }
@@ -979,7 +803,7 @@ void NgxAllocator::Flush(Env& env) {
   }
   // Teardown must not lose buffered remote frees: drain this core's
   // per-shard free buffers (partial batches ride a smaller doorbell).
-  if (core_free_batch_[static_cast<std::size_t>(env.core_id())] > 1) {
+  if (config_.free_batch > 1) {
     for (int s = 0; s < fabric_->num_shards(); ++s) {
       FlushFreeBuf(env, s);
     }
@@ -1025,7 +849,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         // client refreshes its register mirror from the header after the
         // trip).
         const Addr base = HalfAddr(client, cls, Pipe(client, cls).active);
-        batch = std::min(batch, core_pipe_cap_[static_cast<std::size_t>(client)]);
+        batch = std::min(batch, pipe_cap_);
         std::uint64_t count = 0;
         for (std::uint32_t i = 0; i < batch; ++i) {
           const Addr b = heap.Malloc(server_env, classes_.SizeOf(cls));
@@ -1038,7 +862,7 @@ std::uint64_t NgxAllocator::HandleShardRequest(Env& server_env, int shard, int c
         server_env.Store<std::uint64_t>(base, count);
         return first;
       }
-      batch = std::min(batch, core_stash_cap_[static_cast<std::size_t>(client)]);
+      batch = std::min(batch, config_.stash_capacity);
       IndexStack stash = Stash(client, cls);
       for (std::uint32_t i = 0; i < batch; ++i) {
         // Preallocate the class size so any request that maps to `cls` can
@@ -1168,14 +992,6 @@ std::uint64_t NgxAllocator::HandleDonateSpan(Env& server_env, int donor, std::ui
 
 std::uint64_t NgxAllocator::CarveSpans(Env& server_env, int donor, int to,
                                        std::uint64_t want) {
-  // Every cross-shard ownership transfer (kDonateSpan, kRequestSpans,
-  // surplus offers) funnels through here, so this is where a per-tenant
-  // heap_kind contract is enforced: a span carved by one layout cannot be
-  // grafted onto a shard carving with another -- the block metadata the
-  // recipient would write does not survive the move.
-  NGX_CHECK(shard_heap_kind_[static_cast<std::size_t>(donor)] ==
-                shard_heap_kind_[static_cast<std::size_t>(to)],
-            "span donation between shards with conflicting heap kinds");
   // Donor-side bookkeeping: recycled-pool scan plus directory update.
   server_env.Work(12);
   PageProvider& provider = heaps_[static_cast<std::size_t>(donor)]->span_provider();
@@ -1227,8 +1043,8 @@ void NgxAllocator::WatermarkTick(Env& server_env, int shard) {
     return;
   }
   in_rebalance_ = true;
-  const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
-  const std::uint64_t high = shard_high_mark_[static_cast<std::size_t>(shard)];
+  const std::uint64_t low = config_.span_low_mark;
+  const std::uint64_t high = config_.span_high_mark;
   // A few moves per tick keep any pending request's queue wait bounded;
   // steady drain traffic supplies plenty of ticks.
   for (int moves = 0; moves < 4; ++moves) {
@@ -1268,8 +1084,7 @@ bool NgxAllocator::TryRestockLocal(Env& server_env, int shard) {
   // on the malloc path. Grafting recycled spans back during idle time keeps
   // the provider's unconsumed tail at one span above the low mark.
   PageProvider& provider = heaps_[static_cast<std::size_t>(shard)]->span_provider();
-  const std::uint64_t target =
-      (shard_low_mark_[static_cast<std::size_t>(shard)] + 1) * span_bytes_;
+  const std::uint64_t target = (config_.span_low_mark + 1) * span_bytes_;
   if (provider.FreeBytes() >= target) {
     return false;
   }
@@ -1283,7 +1098,7 @@ bool NgxAllocator::TryRestockLocal(Env& server_env, int shard) {
 }
 
 bool NgxAllocator::TryRefill(Env& server_env, int shard, std::uint64_t free) {
-  const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
+  const std::uint64_t low = config_.span_low_mark;
   // Refill to one span above the low mark so the next few grants do not
   // immediately re-trigger the pull.
   const std::uint64_t want = low + 1 - free;
@@ -1291,12 +1106,9 @@ bool NgxAllocator::TryRefill(Env& server_env, int shard, std::uint64_t free) {
   std::vector<bool> excluded(heaps_.size(), false);
   excluded[static_cast<std::size_t>(shard)] = true;
   const int donor = PickDonor(excluded);
-  // Anti-ping-pong: a donation must not push the donor below its OWN low
-  // mark (the donor's tenant contract, not the requester's), or the refill
-  // would bounce straight back next tick.
-  if (donor < 0 ||
-      directory_->free_spans(donor) <
-          shard_low_mark_[static_cast<std::size_t>(donor)] + want) {
+  // Anti-ping-pong: a donation must not push the donor below its own low
+  // mark, or the refill would bounce straight back next tick.
+  if (donor < 0 || directory_->free_spans(donor) < low + want) {
     return false;
   }
   const std::uint64_t arg =
@@ -1318,7 +1130,7 @@ bool NgxAllocator::TryReturnHome(Env& server_env, int shard) {
     return false;
   }
   const std::uint64_t free = directory_->free_spans(shard);
-  const std::uint64_t low = shard_low_mark_[static_cast<std::size_t>(shard)];
+  const std::uint64_t low = config_.span_low_mark;
   if (free <= low) {
     return false;
   }
@@ -1344,10 +1156,10 @@ bool NgxAllocator::TryReturnHome(Env& server_env, int shard) {
 }
 
 bool NgxAllocator::TryOfferSurplus(Env& server_env, int shard, std::uint64_t free) {
-  const std::uint64_t high = shard_high_mark_[static_cast<std::size_t>(shard)];
-  // Push only when a peer is actually short of ITS OWN low mark (per-tenant
-  // watermarks make "needy" a per-shard judgment): the lowest free count
-  // below its mark, ties to the lower shard id (deterministic).
+  const std::uint64_t low = config_.span_low_mark;
+  const std::uint64_t high = config_.span_high_mark;
+  // Push only when a peer is actually short: the lowest free count below
+  // the low mark, ties to the lower shard id (deterministic).
   int needy = -1;
   std::uint64_t needy_free = ~0ull;
   for (int s = 0; s < num_shards(); ++s) {
@@ -1355,7 +1167,7 @@ bool NgxAllocator::TryOfferSurplus(Env& server_env, int shard, std::uint64_t fre
       continue;
     }
     const std::uint64_t f = directory_->free_spans(s);
-    if (f < shard_low_mark_[static_cast<std::size_t>(s)] && f < needy_free) {
+    if (f < low && f < needy_free) {
       needy_free = f;
       needy = s;
     }
@@ -1363,7 +1175,7 @@ bool NgxAllocator::TryOfferSurplus(Env& server_env, int shard, std::uint64_t fre
   if (needy < 0) {
     return false;
   }
-  const std::uint64_t want = shard_low_mark_[static_cast<std::size_t>(needy)] + 1 - needy_free;
+  const std::uint64_t want = low + 1 - needy_free;
   const std::uint64_t n = std::min(want, free - high);
   if (n == 0) {
     return false;

@@ -69,8 +69,7 @@ namespace ngx {
 class NgxAllocator : public Allocator {
  public:
   // Entries per pipelined stash half (one cache line each; see the slot
-  // layout below). Part of the config contract: a per-tenant stash_capacity
-  // override must cover at least the two halves, 2 * kPipeHalfCap.
+  // layout below).
   static constexpr std::uint32_t kPipeHalfCap = 7;  // 8 words = 64 bytes
 
   // `fabric` may be nullptr iff config.offload is false. Every fabric shard's
@@ -99,47 +98,9 @@ class NgxAllocator : public Allocator {
   int ShardOfAddr(Addr addr) const;
 
   const NgxConfig& config() const { return config_; }
-  // Global shard-heap layout (config.heap_kind). Per-tenant overrides can
-  // specialize individual shards on top of this: see shard_heap_kind().
+  // Every shard's heap layout (config.heap_kind).
   HeapKind heap_kind() const { return config_.heap_kind; }
 
-  // ---- Per-tenant traits (config.tenants; DESIGN.md §15) ----
-  // Resolved once at construction into per-core effective knobs (cores not
-  // claimed by any tenant carry the global NgxConfig values) and per-shard
-  // carve/watermark contracts (a shard inherits the overrides of the tenants
-  // homed on it). With config.tenants empty every accessor returns the
-  // global value and the sim is bit-identical to pre-traits builds.
-  int num_tenants() const { return static_cast<int>(tenant_names_.size()); }
-  const std::vector<std::string>& tenant_names() const { return tenant_names_; }
-  // Tenant index owning `core`, or -1 for the implicit default tenant.
-  int tenant_of(int core) const {
-    return core_tenant_[static_cast<std::size_t>(core)];
-  }
-  std::uint32_t core_stash_capacity(int core) const {
-    return core_stash_cap_[static_cast<std::size_t>(core)];
-  }
-  std::uint32_t core_refill_mark(int core) const {
-    return core_refill_mark_[static_cast<std::size_t>(core)];
-  }
-  std::uint32_t core_free_batch(int core) const {
-    return core_free_batch_[static_cast<std::size_t>(core)];
-  }
-  QosLane core_lane(int core) const {
-    return core_lane_[static_cast<std::size_t>(core)];
-  }
-  // Shard this core's mallocs are pinned to (-1 = the routing policy picks).
-  int core_home_shard(int core) const {
-    return core_home_shard_[static_cast<std::size_t>(core)];
-  }
-  HeapKind shard_heap_kind(int shard) const {
-    return shard_heap_kind_[static_cast<std::size_t>(shard)];
-  }
-  std::uint64_t shard_low_mark(int shard) const {
-    return shard_low_mark_[static_cast<std::size_t>(shard)];
-  }
-  std::uint64_t shard_high_mark(int shard) const {
-    return shard_high_mark_[static_cast<std::size_t>(shard)];
-  }
   int num_shards() const { return static_cast<int>(heaps_.size()); }
   ServerHeap& heap(int shard = 0) { return *heaps_[static_cast<std::size_t>(shard)]; }
   AllocatorStats shard_stats(int shard) const {
@@ -254,14 +215,10 @@ class NgxAllocator : public Allocator {
     int shard_;
   };
 
-  // Per-core capacity: tenants can deepen or shrink their stash inventory.
-  // Slots are laid out at the fleet-wide MAXIMUM capacity, so per-tenant
-  // depths change which entries are used, never where a slot lives (and an
-  // all-default tenant list keeps every address byte-identical).
   IndexStack Stash(int core, std::uint32_t cls) const {
     return IndexStack(stash_base_ + stash_stride_ * static_cast<std::uint32_t>(core) +
                           stash_slot_ * cls,
-                      core_stash_cap_[static_cast<std::size_t>(core)]);
+                      config_.stash_capacity);
   }
 
   // ---- Stash pipeline (config.stash_pipeline; DESIGN.md §9) ----
@@ -367,7 +324,7 @@ class NgxAllocator : public Allocator {
   IndexStack FreeBuf(int core, int shard) const {
     return IndexStack(freebuf_base_ + freebuf_stride_ * static_cast<std::uint64_t>(core) +
                           freebuf_slot_ * static_cast<std::uint64_t>(shard),
-                      core_free_batch_[static_cast<std::size_t>(core)]);
+                      config_.free_batch);
   }
   // Drains `core`'s free buffer for `shard` into one multi-entry ring
   // doorbell (no-op when empty).
@@ -409,11 +366,6 @@ class NgxAllocator : public Allocator {
   // break-even op threshold, and feeds the closed matrix to the routing
   // policy's Observe hook.
   void EpochTick(Env& env);
-  // Resolves config_.tenants into the per-core / per-shard vectors below and
-  // validates every override (NGX_CHECKs on malformed traits). Runs once in
-  // the constructor, before heap construction and layout sizing.
-  void ResolveTenants(const Machine& machine, int nshards,
-                      const std::vector<int>* server_cores);
   // Returns up to `max_moves` recycled granted-span runs of `shard` to their
   // home shards (no low-mark retention -- the shard is going dormant).
   // Returns the number of runs moved; fewer than max_moves means nothing
@@ -491,24 +443,6 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_half_bytes_ = 0;  // one cache line per half
   std::uint32_t pipe_cap_ = 0;       // min(stash_capacity, kPipeHalfCap)
   std::uint32_t spill_depth_ = 0;    // stash_capacity beyond the two halves
-  // Per-tenant traits resolution (config.tenants; DESIGN.md §15). Sized and
-  // filled by ResolveTenants; with no tenants every per-core entry carries
-  // the global NgxConfig value and every per-shard entry the global
-  // kind/marks, so the consuming code paths are byte-identical.
-  std::vector<std::string> tenant_names_;       // config order
-  std::vector<std::int16_t> core_tenant_;       // client core -> tenant, -1 default
-  std::vector<std::uint32_t> core_stash_cap_;   // per core
-  std::vector<std::uint32_t> core_refill_mark_; // per core
-  std::vector<std::uint32_t> core_free_batch_;  // per core
-  std::vector<std::uint32_t> core_pipe_cap_;    // min(core cap, kPipeHalfCap)
-  std::vector<std::uint32_t> core_spill_depth_; // core cap beyond the halves
-  std::vector<QosLane> core_lane_;              // per core ring lane
-  std::vector<int> core_home_shard_;            // per core pin, -1 = policy
-  std::vector<HeapKind> shard_heap_kind_;       // per shard carve layout
-  std::vector<std::uint64_t> shard_low_mark_;   // per shard watermark
-  std::vector<std::uint64_t> shard_high_mark_;  // per shard watermark
-  std::uint32_t max_stash_cap_ = 0;   // layout-sizing maxima across cores
-  std::uint32_t max_free_batch_ = 1;
   std::vector<StashPipe> pipes_;     // (core, class) pipeline state
   std::uint64_t stash_refills_ = 0;
   std::uint64_t refill_blocks_ = 0;

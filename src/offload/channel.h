@@ -174,26 +174,6 @@ class Channel {
     return n;
   }
 
-  // Bounded drain (QoS lane admission, DESIGN.md §15): consumes at most
-  // `max_n` pending entries, leaving the rest for a later window. Same
-  // single tail release-store as the full drain, so an under-limit backlog
-  // costs exactly what ServerDrainRing would.
-  template <typename Fn>
-  std::uint32_t ServerDrainRingBounded(Env& env, std::uint32_t max_n, Fn&& consume) {
-    const std::uint64_t head = env.Load<std::uint64_t>(base_ + kRingHeadOff);
-    std::uint64_t tail = env.Load<std::uint64_t>(base_ + kRingTailOff);
-    std::uint32_t n = 0;
-    while (tail != head && n < max_n) {
-      consume(env.Load<std::uint64_t>(EntryAddr(tail)));
-      ++tail;
-      ++n;
-    }
-    if (n > 0) {
-      env.AtomicStore(base_ + kRingTailOff, tail);
-    }
-    return n;
-  }
-
  private:
   Addr EntryAddr(std::uint64_t index) const {
     return base_ + kRingEntriesOff + 8 * (index % ring_capacity_);

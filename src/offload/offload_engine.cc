@@ -62,9 +62,6 @@ OffloadEngine::OffloadEngine(Machine& machine, int server_core, Addr channel_bas
   }
   seq_.assign(n, 0);
   prod_cache_.assign(static_cast<std::size_t>(n), ProducerIndexCache{});
-  lanes_.assign(static_cast<std::size_t>(n), QosLane::kNormal);
-  labels_.assign(static_cast<std::size_t>(n), std::string());
-  h_tenant_latency_.assign(static_cast<std::size_t>(n), nullptr);
 }
 
 std::uint64_t OffloadEngine::CachedPushReserve(Env& client_env, int client,
@@ -107,21 +104,13 @@ void OffloadEngine::BindInstruments() {
   c_async_ops_ = &m.GetCounter("offload.async_ops", {{"shard", shard}});
   c_ring_full_ = &m.GetCounter("offload.ring_full_stalls", {{"shard", shard}});
   c_carve_cycles_ = &m.GetCounter("ngx.server_carve_cycles", {{"shard", shard}});
-  // Tenant SLO series: one histogram per labeled client, labeled by tenant
-  // only (no shard/op) so HistogramTotal({{"tenant", name}}) sums one
-  // tenant's sync latency across every shard it talks to.
-  for (std::size_t c = 0; c < labels_.size(); ++c) {
-    if (!labels_[c].empty()) {
-      h_tenant_latency_[c] =
-          &m.GetHistogram("offload.sync_latency", {{"tenant", labels_[c]}});
-    }
-  }
   instruments_bound_ = true;
 }
 
-void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_entries) {
+void OffloadEngine::DrainRing(Env& server_env, int client) {
   const std::uint64_t t0 = server_env.now();
-  const auto consume = [&](std::uint64_t entry) {
+  const std::uint32_t n =
+      channels_[client].ServerDrainRing(server_env, [&](std::uint64_t entry) {
         // Tag 0 = the historical raw-address kFree encoding; other tags carry
         // the op in the top byte (currently only kRefillStash rides tagged).
         const std::uint64_t tag = entry >> 56;
@@ -138,13 +127,7 @@ void OffloadEngine::DrainRing(Env& server_env, int client, std::uint32_t max_ent
         // Every drained entry is a free or a refill, both carve-path work.
         NoteCarveCycles(server_env.now() - c0);
         ++stats_.async_ops;
-      };
-  // A bounded window (lane admission) leaves the tail of a long bulk
-  // backlog for a later drain; 0 is the historical drain-everything path.
-  const std::uint32_t n =
-      max_entries > 0
-          ? channels_[client].ServerDrainRingBounded(server_env, max_entries, consume)
-          : channels_[client].ServerDrainRing(server_env, consume);
+      });
   if (FlightRecorder* rec = Recorder()) {
     // The whole drain window (including empty polls reaching this far) is
     // server-busy time; the carve handlers inside it were already attributed
@@ -183,7 +166,6 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   // and no earlier than the server finishes that backlog.
   Core& server = machine_->core(server_core_);
   Env server_env = ServerEnv();
-  const std::uint64_t drain0 = server_env.now();
   DrainRing(server_env, client);
   // Idle-window background work (watermark rebalancing): like the drain, it
   // starts from the server's own clock, so refills that fit before the
@@ -191,26 +173,9 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
   }
-  const std::uint64_t drain_cycles = server_env.now() - drain0;
   // How long the request sat behind the server's backlog (other clients'
   // requests and drained frees) before service could start.
-  std::uint64_t queue_wait = server.now() > send_time ? server.now() - send_time : 0;
-  // Priority admission (DESIGN.md §15): with lane admission on, a
-  // latency-lane sync is served against the shadow no-bulk schedule -- it
-  // only ever queues behind latency/normal work, never behind a throughput
-  // tenant's free batches or malloc bursts (which a priority-aware server
-  // would defer past this doorbell). The shadow mirrors the real schedule's
-  // structure: the drain + rebalancer window runs from the shadow server's
-  // OWN clock (idle-window work that fits before the doorbell is free), and
-  // service starts no earlier than the send and no earlier than that
-  // backlog ends.
-  const QosLane lane = lanes_[static_cast<std::size_t>(client)];
-  const bool shadow_serve = lane_quantum_ > 0 && lane != QosLane::kBulk;
-  const std::uint64_t shadow_busy_end = shadow_now_ + drain_cycles;
-  const std::uint64_t shadow_start = std::max(shadow_busy_end, send_time);
-  if (lane_quantum_ > 0 && lane == QosLane::kLatency) {
-    queue_wait = std::min(queue_wait, shadow_start - send_time);
-  }
+  const std::uint64_t queue_wait = server.now() > send_time ? server.now() - send_time : 0;
   if (queue_wait > 0) {
     ++stats_.server_busy_waits;
   }
@@ -228,39 +193,21 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   }
   ch.ServerRespond(server_env, seq, result);
 
-  // Advance the shadow schedule by this request's service window (poll +
-  // handler + respond): latency/normal work occupies the preemptive server
-  // too, while its idle-window drain was already folded into
-  // shadow_busy_end. Clamped to the real completion -- the real schedule,
-  // which ran strictly more work first, bounds the preemptive one.
-  std::uint64_t publish = server_env.now();
-  if (shadow_serve) {
-    const std::uint64_t window = server_env.now() - busy0;
-    shadow_now_ = std::min(shadow_start + window, publish);
-    if (lane == QosLane::kLatency) {
-      // The response was published at the shadow point; the real server
-      // clock still pays the deferred bulk work after it.
-      publish = shadow_now_;
-    }
-  }
   if (FlightRecorder* rec = Recorder()) {
     rec->AddCycles(FlightRecorder::kServerBusy, server_env.now() - busy0);
     // What the spin below will cost the client: its clock jump to the
     // server's publish point. Only counted inside a client op so the
     // rebalancer's own control round trips stay out of the table.
-    if (rec->InClientOp(client) && publish > client_env.now()) {
-      rec->AddCycles(FlightRecorder::kSyncStall, publish - client_env.now());
+    if (rec->InClientOp(client) && server_env.now() > client_env.now()) {
+      rec->AddCycles(FlightRecorder::kSyncStall, server_env.now() - client_env.now());
     }
   }
   // Client spins until the response is visible, then reads it.
-  machine_->core(client).AdvanceTo(publish);
+  machine_->core(client).AdvanceTo(server_env.now());
   const std::uint64_t out = ch.ClientReceive(client_env, seq);
   ++stats_.sync_requests;
   if (Recording()) {
     h_sync_latency_[static_cast<int>(op)]->Record(client_env.now() - t0);
-    if (Histogram* ht = h_tenant_latency_[static_cast<std::size_t>(client)]) {
-      ht->Record(client_env.now() - t0);
-    }
     h_queue_wait_->Record(queue_wait);
     c_sync_requests_->Add();
     Telemetry& tel = machine_->telemetry();
@@ -307,14 +254,11 @@ void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t ar
   if (eager_drain_at_ > 0 && occupancy + 1 >= eager_drain_at_) {
     // The spinning server notices the filling ring and drains it in the
     // background on its own clock -- the client walks away after the push.
-    // A bulk-lane client's eager window is admitted in lane quanta
-    // (EagerCap); correctness does not need a full drain here, the ring-full
-    // stall is still the backstop.
     Core& server = machine_->core(server_core_);
     server.AdvanceTo(client_env.now());
     Env server_env = ServerEnv();
     server_env.Work(poll_work_);
-    DrainRing(server_env, client, EagerCap(client));
+    DrainRing(server_env, client);
     if (post_drain_hook_) {
       post_drain_hook_(server_env);
     }
@@ -357,10 +301,7 @@ void OffloadEngine::AsyncRequestBatch(Env& client_env, const std::uint64_t* addr
     server.AdvanceTo(client_env.now());
     Env server_env = ServerEnv();
     server_env.Work(poll_work_);
-    // Bulk-lane batches are the QoS lanes' reason to exist: unbounded, this
-    // drain runs the shared server clock ahead by the whole batch right
-    // before a latency tenant's next sync request.
-    DrainRing(server_env, client, EagerCap(client));
+    DrainRing(server_env, client);
     if (post_drain_hook_) {
       post_drain_hook_(server_env);
     }
@@ -403,27 +344,12 @@ std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
   Core& server = machine_->core(server_core_);
   server.AdvanceTo(client_env.now());
   Env server_env = ServerEnv();
-  const std::uint64_t kick0 = server_env.now();
   server_env.Work(poll_work_);
   DrainRing(server_env, client);
   if (post_drain_hook_) {
     post_drain_hook_(server_env);
   }
-  // Priority admission, same rule as SyncRequest: a latency tenant's kicked
-  // refill is served against the shadow no-bulk schedule, so its stash half
-  // is ready without standing behind a throughput tenant's deferred
-  // backlog. Normal-lane windows advance the shadow without observing it.
-  std::uint64_t ready = server_env.now();
-  if (lane_quantum_ > 0 &&
-      lanes_[static_cast<std::size_t>(client)] != QosLane::kBulk) {
-    const std::uint64_t window = server_env.now() - kick0;
-    shadow_now_ =
-        std::min(std::max(shadow_now_, client_env.now()) + window, ready);
-    if (lanes_[static_cast<std::size_t>(client)] == QosLane::kLatency) {
-      ready = shadow_now_;
-    }
-  }
-  return ready;
+  return server_env.now();
 }
 
 void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
@@ -456,30 +382,12 @@ void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
 
 void OffloadEngine::DrainAll() {
   Env server_env = ServerEnv();
-  if (lane_quantum_ > 0) {
-    // Lane-priority service order: latency rings drain before normal before
-    // bulk, so a latency tenant's stragglers never wait out a bulk backlog
-    // even in the final sweep. Within a lane, client id order keeps the
-    // schedule deterministic. Full drains -- admission quanta bound
-    // BACKGROUND windows, not teardown.
-    for (int lane = 0; lane < kQosLaneCount; ++lane) {
-      for (int c = 0; c < machine_->num_cores(); ++c) {
-        if (c == server_core_ ||
-            static_cast<int>(lanes_[static_cast<std::size_t>(c)]) != lane) {
-          continue;
-        }
-        server_env.Work(poll_work_);
-        DrainRing(server_env, c);
-      }
+  for (int c = 0; c < machine_->num_cores(); ++c) {
+    if (c == server_core_) {
+      continue;
     }
-  } else {
-    for (int c = 0; c < machine_->num_cores(); ++c) {
-      if (c == server_core_) {
-        continue;
-      }
-      server_env.Work(poll_work_);
-      DrainRing(server_env, c);
-    }
+    server_env.Work(poll_work_);
+    DrainRing(server_env, c);
   }
   if (post_drain_hook_) {
     post_drain_hook_(server_env);

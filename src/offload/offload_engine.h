@@ -13,10 +13,8 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "src/core/tenant_traits.h"
 #include "src/offload/channel.h"
 
 namespace ngx {
@@ -120,48 +118,10 @@ class OffloadEngine {
   // non-pipelined protocol stays byte-for-byte identical to the seed.
   void set_producer_index_cache(bool on) { producer_cache_ = on; }
 
-  // QoS lane this client's ring rides (DESIGN.md §15). Classification alone
-  // never changes timing; it only takes effect once lane admission is on.
-  void set_client_lane(int client, QosLane lane) {
-    lanes_[static_cast<std::size_t>(client)] = lane;
-  }
-  QosLane client_lane(int client) const {
-    return lanes_[static_cast<std::size_t>(client)];
-  }
-
-  // Tenant label for this client's telemetry: when non-empty, sync latency
-  // is additionally recorded into offload.sync_latency{tenant=<label>}, the
-  // per-tenant SLO series RunResult surfaces.
-  void set_client_label(int client, std::string label) {
-    labels_[static_cast<std::size_t>(client)] = std::move(label);
-  }
-
-  // Weighted lane admission (DESIGN.md §15). quantum > 0 turns lanes on:
-  // (a) DrainAll serves rings in lane-priority order (latency, normal,
-  // bulk), (b) a bulk-lane client's EAGER background drains admit at most
-  // `quantum` entries per window, bounding how far one free batch can run
-  // the server clock ahead of a latency tenant's next sync request, and
-  // (c) a latency-lane request is served against the shadow no-bulk
-  // schedule (see shadow_now_), so it never stands behind a bulk tenant's
-  // deferred sync windows or free backlogs. Correctness-critical drains
-  // (sync-bound, kicked refills, ring-full backpressure) always drain
-  // fully. 0 (default) = historical admission, bit-identical whatever the
-  // lane classification says.
-  void set_lane_admission(std::uint32_t quantum) { lane_quantum_ = quantum; }
-
  private:
   Env ServerEnv() { return Env(*machine_, server_core_); }
-  // Drains `client`'s ring on the server clock. max_entries = 0 drains
-  // everything; > 0 is the bounded lane-admission window.
-  void DrainRing(Env& server_env, int client, std::uint32_t max_entries = 0);
-  // Entry budget for a background (eager) drain of `client`'s ring: the
-  // bulk lane's quantum when admission is on, else 0 (unbounded).
-  std::uint32_t EagerCap(int client) const {
-    return (lane_quantum_ > 0 &&
-            lanes_[static_cast<std::size_t>(client)] == QosLane::kBulk)
-               ? lane_quantum_
-               : 0;
-  }
+  // Drains every pending entry of `client`'s ring on the server clock.
+  void DrainRing(Env& server_env, int client);
   // Ring-full backpressure: runs the server's drain for `client` and syncs
   // the client clock to it.
   void StallOnFullRing(Env& client_env, int client);
@@ -214,21 +174,6 @@ class OffloadEngine {
   OffloadServer* server_ = nullptr;
   std::uint32_t poll_work_ = 6;
   std::uint32_t eager_drain_at_ = 0;
-  std::uint32_t lane_quantum_ = 0;  // 0 = lane admission off
-  std::vector<QosLane> lanes_;      // per-client ring lane
-  std::vector<std::string> labels_;  // per-client tenant label ("" = none)
-  // Shadow no-bulk server clock (lane admission on only): the schedule a
-  // priority-aware allocator core would run, where every bulk-lane window
-  // (its sync services and its drained free backlogs) is deferred behind
-  // latency/normal work. Only latency- and normal-lane request windows
-  // advance it; it is clamped to the real server clock (the real schedule
-  // bounds the preemptive one from above, since it does strictly more work
-  // first). A latency-lane client observes its completion against this
-  // clock; everyone else -- and the real server core -- keeps the
-  // historical schedule, so the model stays work-conserving: the deferred
-  // bulk cycles were still paid on the real clock, the latency tenant just
-  // did not stand behind them.
-  std::uint64_t shadow_now_ = 0;
   bool producer_cache_ = false;
   std::vector<ProducerIndexCache> prod_cache_;  // one per client core
   std::vector<Channel> channels_;
@@ -240,8 +185,6 @@ class OffloadEngine {
   // Sync latency is split per op; index = static_cast<int>(OffloadOp).
   bool instruments_bound_ = false;
   Histogram* h_sync_latency_[kOffloadOpCount] = {};
-  // Per-client tenant SLO series (null for unlabeled clients).
-  std::vector<Histogram*> h_tenant_latency_;
   Histogram* h_queue_wait_ = nullptr;
   Histogram* h_drain_batch_ = nullptr;
   Histogram* h_ring_occupancy_ = nullptr;

@@ -29,7 +29,6 @@ OffloadFabric::OffloadFabric(Machine& machine, std::vector<int> server_cores,
   async_enqueued_.assign(engines_.size(), 0);
   loads_.resize(engines_.size());
   states_.assign(engines_.size(), ShardState::kActive);
-  pinned_home_.assign(static_cast<std::size_t>(machine.num_cores()), -1);
 }
 
 std::uint64_t OffloadFabric::ChannelRegionBytes(const Machine& machine, int num_shards) {
@@ -46,13 +45,6 @@ void OffloadFabric::set_poll_work(std::uint32_t n) {
 int OffloadFabric::RouteMalloc(int client, std::uint64_t size, std::uint32_t size_class) {
   if (engines_.size() == 1) {
     return 0;  // degenerate case: the paper's single-server prototype
-  }
-  // A tenant placement pin bypasses the policy while its shard serves
-  // mallocs; a parked/draining pin falls through to the policy so the
-  // tenant is never routed into a shard that will not answer.
-  const int pin = pinned_home_[static_cast<std::size_t>(client)];
-  if (pin >= 0 && states_[static_cast<std::size_t>(pin)] == ShardState::kActive) {
-    return pin;
   }
   const std::uint64_t client_now = machine_->core(client).now();
   for (std::size_t s = 0; s < engines_.size(); ++s) {

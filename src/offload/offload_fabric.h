@@ -89,32 +89,6 @@ class OffloadFabric {
     }
   }
 
-  // ---- Tenant QoS (DESIGN.md §15) ---------------------------------------
-  // Lane + telemetry label for one client's rings on every shard, and the
-  // fleet-wide admission quantum. All defaults keep the historical
-  // behaviour bit-identical.
-  void set_client_lane(int client, QosLane lane) {
-    for (auto& e : engines_) {
-      e->set_client_lane(client, lane);
-    }
-  }
-  void set_client_label(int client, const std::string& label) {
-    for (auto& e : engines_) {
-      e->set_client_label(client, label);
-    }
-  }
-  void set_lane_admission(std::uint32_t quantum) {
-    for (auto& e : engines_) {
-      e->set_lane_admission(quantum);
-    }
-  }
-  // Pins a client's mallocs to one shard while that shard is active (a
-  // tenant's placement contract). The policy still decides whenever the
-  // pinned shard is parked or draining, and frees always follow ownership.
-  void set_client_home_shard(int client, int s) {
-    pinned_home_[static_cast<std::size_t>(client)] = s;
-  }
-
   // Policy decision for a malloc: which shard serves (client, size, class).
   // Host-side only; charges no simulated time.
   int RouteMalloc(int client, std::uint64_t size, std::uint32_t size_class);
@@ -219,7 +193,6 @@ class OffloadFabric {
   std::vector<std::uint64_t> async_enqueued_;  // per shard
   std::vector<ShardLoad> loads_;               // scratch for RouteMalloc
   std::vector<ShardState> states_;             // per-shard lifecycle
-  std::vector<int> pinned_home_;               // per-client pin (-1 = policy)
   bool epoch_tracking_ = false;
   std::uint64_t epoch_seq_ = 0;
   std::vector<std::uint64_t> epoch_ops_;  // client-major (num_cores x shards)

@@ -48,8 +48,7 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
     result.server += result.per_server.back();
   }
   result.alloc_stats = alloc.stats();
-  const auto* ngx = dynamic_cast<const NgxAllocator*>(&alloc);
-  if (ngx != nullptr) {
+  if (const auto* ngx = dynamic_cast<const NgxAllocator*>(&alloc)) {
     // Elastic-fleet books live on the allocator host side (no telemetry
     // needed): the timeline has no counter representation at all.
     result.routing_epochs = ngx->routing_epochs();
@@ -83,17 +82,6 @@ RunResult RunWorkload(Machine& machine, Allocator& alloc, Workload& workload,
     result.server_carve_cycles = m.CounterTotal("ngx.server_carve_cycles", {});
     result.slab_reuses = m.CounterTotal("ngx.slab_reuses", {});
     result.fresh_slab_carves = m.CounterTotal("ngx.slab_fresh", {});
-    if (ngx != nullptr) {
-      // Per-tenant SLO quantiles (DESIGN.md §15): each labeled tenant's sync
-      // round-trip latency summed across every shard it talked to. The
-      // series carries only the tenant label, so the subset match cannot
-      // also pick up the per-(shard, op) series above.
-      for (const std::string& name : ngx->tenant_names()) {
-        result.tenant_names.push_back(name);
-        result.tenant_sync_latency.push_back(
-            m.HistogramTotal("offload.sync_latency", {{"tenant", name}}).Summary());
-      }
-    }
   }
   if (machine.telemetry().recording()) {
     FlightRecorder& rec = machine.telemetry().recorder();

@@ -415,21 +415,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(HeapKind::kSegregated, HeapKind::kSegment)));
 
-// ---- Per-tenant traits determinism ----
+// ---- Table-3 pipeline final-state hash ----
 //
-// The traits layer (DESIGN.md §15) promises two things. First, an inert
-// tenant list -- empty, or one default tenant inheriting every knob -- is
-// BIT-IDENTICAL to the pre-traits build: the pin below replays
-// bench_table3_nextgen's pipeline row byte for byte and checks the same
-// final-state hash that bench asserts against its recorded value. Second,
-// a heterogeneous tenant mix with lane admission on is still a
-// deterministic simulation: two identical runs agree on every clock, PMU
-// stream and book entry, across shard counts.
-
 // The exact pipeline run bench_table3_nextgen hashes (machine, workload,
-// config, seed); reproduced here so a traits regression that shifts one
-// cycle fails in ctest, not only in the bench.
-std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
+// config, seed); reproduced here so a regression that shifts one cycle fails
+// in ctest, not only in the bench.
+std::uint64_t HashedTable3PipelineRun() {
   Machine machine(bench::Table3Machine());
   NgxConfig cfg = NgxConfig::PaperPrototype();
   cfg.hugepage_spans = false;
@@ -437,12 +428,6 @@ std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
   cfg.stash_pipeline = true;
   cfg.stash_refill_mark = 2;
   cfg.stash_capacity = 14;
-  if (with_default_tenant) {
-    TenantSpec t;
-    t.name = "default_tenant";  // every knob at kInherit, normal lane
-    t.cores = {0};
-    cfg.tenants = {t};
-  }
   NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
   XalancLike wl(bench::XalancTable3Config());
   RunOptions opt;
@@ -454,17 +439,14 @@ std::uint64_t HashedTable3PipelineRun(bool with_default_tenant) {
 }
 
 // The hash bench_table3_nextgen pinned when the pipeline row was frozen.
-// If this fails, something changed simulated history for tenant-less runs:
-// either an unintended timing regression, or a deliberate model change --
-// in which case re-pin BOTH this constant and PIPELINE_HASH in
-// scripts/claims.py.
+// If this fails, something changed simulated history: either an unintended
+// timing regression, or a deliberate model change -- in which case re-pin
+// BOTH this constant and PIPELINE_HASH in scripts/claims.py.
 constexpr std::uint64_t kTable3PipelineHash = 0xc341e49c161c6028ull;
 
-TEST(TenantTraitsDeterminism, DefaultTraitsReplayThePinnedPipelineHash) {
-  EXPECT_EQ(HashedTable3PipelineRun(false), kTable3PipelineHash)
-      << "the tenant-less pipeline run no longer matches PR 8's history";
-  EXPECT_EQ(HashedTable3PipelineRun(true), kTable3PipelineHash)
-      << "an all-default tenant list must be bit-identical to no tenants";
+TEST(PipelineDeterminism, Table3PipelineRunReplaysThePinnedHash) {
+  EXPECT_EQ(HashedTable3PipelineRun(), kTable3PipelineHash)
+      << "the Table-3 pipeline run no longer matches its pinned history";
 }
 
 // ---- Multi-shard final-state hash ----
@@ -589,13 +571,12 @@ TEST(HugepageDeterminism, PackedMetadataRunReplaysBitIdentically) {
   EXPECT_EQ(a_stats.oom_failures, base.oom_failures);
 }
 
-// Heterogeneous traits + lane admission across {1, 2, 4} shards: the QoS
-// machinery (lane-priority DrainAll sweeps, quantum-bounded bulk windows,
-// the shadow no-bulk schedule) must replay exactly, and the books must
-// balance under every mix.
-class TenantShardSweepTest : public ::testing::TestWithParam<int> {};
+// Pipelined stash + batched remote frees across {1, 2, 4} shards: kicked
+// refills, eager drains of multi-entry doorbells and the teardown DrainAll
+// sweep must replay exactly, and the books must balance at every shard count.
+class BatchedFreeShardSweepTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(TenantShardSweepTest, HeterogeneousTraitsWithLanesAreDeterministic) {
+TEST_P(BatchedFreeShardSweepTest, PipelinedChurnWithBatchedFreesIsDeterministic) {
   const int shards = GetParam();
   auto run = [&] {
     const int clients = 4;
@@ -605,22 +586,8 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsWithLanesAreDeterministic) {
     cfg.hugepage_spans = false;
     cfg.heap_window = static_cast<std::uint64_t>(shards) * 8 * 1024 * 1024;
     cfg.prediction = true;
-    cfg.stash_pipeline = true;  // kicked refills exercise the shadow clock
-    cfg.qos_lanes = true;
-    cfg.lane_quantum = 8;
-    TenantSpec fe;
-    fe.name = "frontend";
-    fe.traits = MakeTenantTraits("low_latency");
-    fe.cores = {0};
-    TenantSpec an;
-    an.name = "analytics";
-    an.traits = MakeTenantTraits("throughput");
-    an.cores = {1};
-    TenantSpec ca;
-    ca.name = "cache";
-    ca.traits = MakeTenantTraits("ephemeral");
-    ca.cores = {2};
-    cfg.tenants = {fe, an, ca};  // core 3 stays on the implicit default
+    cfg.stash_pipeline = true;
+    cfg.free_batch = 8;
     std::vector<int> servers;
     for (int s = 0; s < shards; ++s) {
       servers.push_back(clients + s);
@@ -641,13 +608,14 @@ TEST_P(TenantShardSweepTest, HeterogeneousTraitsWithLanesAreDeterministic) {
     const AllocatorStats s = sys.allocator->stats();
     EXPECT_EQ(s.mallocs, s.frees) << shards << " shards";
     EXPECT_EQ(s.bytes_live, 0u);
+    EXPECT_GT(sys.allocator->buffered_frees(), 0u) << "frees must ride the batch buffers";
     return bench::SimStateHash(r);
   };
-  EXPECT_EQ(run(), run()) << "traits-on run must replay bit-identically at "
+  EXPECT_EQ(run(), run()) << "batched-free run must replay bit-identically at "
                           << shards << " shards";
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, TenantShardSweepTest, ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(Shards, BatchedFreeShardSweepTest, ::testing::Values(1, 2, 4));
 
 class ThreadSweepTest : public ::testing::TestWithParam<int> {};
 

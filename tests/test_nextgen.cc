@@ -4,6 +4,12 @@
 // under prediction, metadata isolation from the app core).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/analytical_model.h"
 #include "src/core/nextgen_malloc.h"
 #include "src/offload/prediction.h"
@@ -254,6 +260,179 @@ TEST(Predictor, ClientsAreIndependent) {
     p.OnMallocMiss(0, 3);
   }
   EXPECT_EQ(p.OnMallocMiss(1, 3), 0u) << "client 1 has no history";
+}
+
+// ---- One global contract per fabric ----
+//
+// Every client core runs the fabric-wide NgxConfig: its mallocs take the
+// static client % N route to one shard, and its frees reach the ring one
+// doorbell per free_batch entries. Checked core by core, across shard
+// counts, free batches and the prediction stash.
+
+struct GlobalContractCase {
+  int shards;
+  std::uint32_t free_batch;
+  bool prediction;
+};
+
+void PrintTo(const GlobalContractCase& c, std::ostream* os) {
+  *os << "shards=" << c.shards << " free_batch=" << c.free_batch
+      << " prediction=" << c.prediction;
+}
+
+class GlobalContractTest : public ::testing::TestWithParam<GlobalContractCase> {
+ protected:
+  static constexpr int kClients = 4;
+
+  void SetUp() override {
+    const GlobalContractCase& c = GetParam();
+    machine_ = MakeMachine(kClients + c.shards);
+    NgxConfig cfg;  // offloaded, async frees, static routing
+    cfg.num_shards = c.shards;
+    cfg.free_batch = c.free_batch;
+    cfg.prediction = c.prediction;
+    sys_ = MakeNgxSystem(*machine_, cfg, /*first_server_core=*/kClients);
+  }
+
+  // Flushes every client core and drains every ring; the books must balance.
+  void SettleAndCheckBooks() {
+    for (int core = 0; core < kClients; ++core) {
+      Env env(*machine_, core);
+      sys_.allocator->Flush(env);
+    }
+    sys_.fabric->DrainAll();
+    const AllocatorStats s = sys_.allocator->stats();
+    EXPECT_EQ(s.mallocs, s.frees);
+    EXPECT_EQ(s.bytes_live, 0u);
+  }
+
+  std::unique_ptr<Machine> machine_;
+  NgxSystem sys_;
+};
+
+TEST_P(GlobalContractTest, EveryClientCoreMallocsFromItsStaticShard) {
+  const int shards = GetParam().shards;
+  std::vector<std::pair<int, Addr>> live;
+  for (int core = 0; core < kClients; ++core) {
+    Env env(*machine_, core);
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t size = (i % 2 == 0) ? 64 : 16 + 97 * static_cast<std::uint64_t>(i);
+      const Addr a = sys_.allocator->Malloc(env, size);
+      ASSERT_NE(a, kNullAddr) << "core " << core << " op " << i;
+      EXPECT_EQ(sys_.allocator->ShardOfAddr(a), core % shards)
+          << "core " << core << " size " << size;
+      live.emplace_back(core, a);
+    }
+  }
+  for (const auto& [core, a] : live) {
+    Env env(*machine_, core);
+    sys_.allocator->Free(env, a);
+  }
+  SettleAndCheckBooks();
+}
+
+TEST_P(GlobalContractTest, EveryClientCoreBatchesFreesByTheGlobalFreeBatch) {
+  const GlobalContractCase& c = GetParam();
+  const std::uint32_t batch = c.free_batch;
+  for (int core = 0; core < kClients; ++core) {
+    const int shard = core % c.shards;
+    Env env(*machine_, core);
+    std::vector<Addr> blocks;
+    for (std::uint32_t i = 0; i <= batch; ++i) {
+      blocks.push_back(sys_.allocator->Malloc(env, 256));
+      ASSERT_NE(blocks.back(), kNullAddr);
+    }
+    const std::uint64_t bells0 = sys_.fabric->shard_stats(shard).ring_doorbells;
+    const std::uint64_t buffered0 = sys_.allocator->buffered_frees();
+    const std::uint64_t flushes0 = sys_.allocator->free_flushes();
+    // The first free_batch frees fill the core's buffer without a doorbell
+    // (or ring one each when the batch is 1).
+    for (std::uint32_t i = 0; i < batch; ++i) {
+      sys_.allocator->Free(env, blocks[i]);
+    }
+    EXPECT_EQ(sys_.fabric->shard_stats(shard).ring_doorbells - bells0, batch == 1 ? 1u : 0u)
+        << "core " << core;
+    // One more free overflows the buffer: a single doorbell posts the batch.
+    sys_.allocator->Free(env, blocks[batch]);
+    EXPECT_EQ(sys_.fabric->shard_stats(shard).ring_doorbells - bells0, batch == 1 ? 2u : 1u)
+        << "core " << core;
+    EXPECT_EQ(sys_.allocator->buffered_frees() - buffered0, batch == 1 ? 0u : batch + 1)
+        << "core " << core;
+    EXPECT_EQ(sys_.allocator->free_flushes() - flushes0, batch == 1 ? 0u : 1u)
+        << "core " << core;
+    // Flush posts the leftover entry as a second, partial batch.
+    sys_.allocator->Flush(env);
+    EXPECT_EQ(sys_.allocator->free_flushes() - flushes0, batch == 1 ? 0u : 2u)
+        << "core " << core;
+  }
+  SettleAndCheckBooks();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsByBatch, GlobalContractTest,
+    ::testing::Values(GlobalContractCase{1, 1, false}, GlobalContractCase{1, 8, false},
+                      GlobalContractCase{2, 1, false}, GlobalContractCase{2, 8, false},
+                      GlobalContractCase{4, 1, false}, GlobalContractCase{4, 8, false},
+                      GlobalContractCase{1, 1, true}, GlobalContractCase{1, 8, true},
+                      GlobalContractCase{2, 1, true}, GlobalContractCase{2, 8, true},
+                      GlobalContractCase{4, 1, true}, GlobalContractCase{4, 8, true}),
+    [](const ::testing::TestParamInfo<GlobalContractCase>& p) {
+      const GlobalContractCase& c = p.param;
+      return "shards" + std::to_string(c.shards) + "_batch" + std::to_string(c.free_batch) +
+             (c.prediction ? "_pred" : "_nopred");
+    });
+
+// ---- Global config guards must abort in every build type ----
+
+TEST(NgxConfigDeath, ZeroFreeBatchAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.free_batch = 0;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "free_batch");
+}
+
+TEST(NgxConfigDeath, FreeBatchBeyondTheRingAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.free_batch = cfg.ring_capacity + 1;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "free_batch");
+}
+
+TEST(NgxConfigDeath, LowMarkWithoutDonationAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.span_low_mark = 8;
+  cfg.span_high_mark = 16;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "requires span_donation");
+}
+
+TEST(NgxConfigDeath, HighMarkNotAboveTheLowMarkAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;
+  cfg.span_donation = true;
+  cfg.span_low_mark = 16;
+  cfg.span_high_mark = 16;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2),
+                            "span_high_mark must exceed span_low_mark");
+}
+
+TEST(NgxConfigDeath, PipelinedStashWithoutCapacityAborts) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg;
+  cfg.prediction = true;
+  cfg.stash_pipeline = true;
+  cfg.stash_capacity = 0;
+  EXPECT_DEATH_IF_SUPPORTED((void)MakeNgxSystem(*machine, cfg, 2), "nonzero capacity");
+}
+
+TEST(NgxConfigDeath, ServerCoreOnAClientCoreAborts) {
+  auto machine = MakeMachine(4);
+  NgxConfig cfg;
+  cfg.num_shards = 2;  // contiguous placement wants cores 2 and 3
+  EXPECT_DEATH_IF_SUPPORTED((void)ChooseServerCores(*machine, cfg, {0, 3}),
+                            "collides with a client core");
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Tests for the offload channel protocol and engine timing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/offload/channel.h"
 #include "src/offload/offload_engine.h"
 #include "tests/test_util.h"
@@ -99,6 +102,61 @@ TEST_F(OffloadEngineTest, RingOrderPreserved) {
   for (std::uint64_t i = 0; i < 6; ++i) {
     EXPECT_EQ(server_.freed[i], 100 + i);
   }
+}
+
+TEST_F(OffloadEngineTest, DrainAllServesRingsInClientIdOrder) {
+  // Client 1 pushes first; the sweep still serves client 0's ring first.
+  Env e0(*machine_, 0);
+  Env e1(*machine_, 1);
+  engine_->AsyncRequest(e1, OffloadOp::kFree, 11);
+  engine_->AsyncRequest(e0, OffloadOp::kFree, 10);
+  engine_->DrainAll();
+  ASSERT_EQ(server_.freed.size(), 2u);
+  EXPECT_EQ(server_.freed[0], 10u);
+  EXPECT_EQ(server_.freed[1], 11u);
+}
+
+// A sync issued just after another client's expensive request is served on
+// the server core's real clock: it queues behind that request, and the
+// client reads its response no earlier than the server's respond store.
+TEST_F(OffloadEngineTest, SyncBehindAnExpensiveRequestWaitsForTheRespondStore) {
+  Env e0(*machine_, 0);
+  Env e1(*machine_, 1);
+  server_.work_per_request = 5000;
+  engine_->SyncRequest(e0, OffloadOp::kMalloc, 1);
+  server_.work_per_request = 50;
+  const std::uint64_t t0 = e1.now();
+  EXPECT_EQ(engine_->SyncRequest(e1, OffloadOp::kMalloc, 2), 4u);
+  EXPECT_GE(e1.now(), machine_->core(2).now())
+      << "the response cannot be read before the server wrote it";
+  EXPECT_GT(e1.now() - t0, 2000u) << "the sync queues behind the expensive service";
+}
+
+// The engine is deterministic: the same mix of syncs, frees and drains
+// replays to the same client and server clocks.
+TEST(OffloadEngineReplay, MixedSyncAsyncRunReplaysClockForClock) {
+  auto run = [] {
+    auto machine = MakeMachine(3);
+    machine->address_map().Add(
+        Region{kTestChannelBase, kChannelStride * 3, PageKind::kSmall4K, "chan"});
+    EchoServer server;
+    OffloadEngine engine(*machine, /*server_core=*/2, kTestChannelBase, /*ring_capacity=*/8);
+    engine.set_server(&server);
+    Env e0(*machine, 0);
+    Env e1(*machine, 1);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      Env& env = (i % 3 == 0) ? e1 : e0;
+      engine.SyncRequest(env, OffloadOp::kMalloc, i);
+      engine.AsyncRequest(env, OffloadOp::kFree, i);
+    }
+    engine.DrainAll();
+    return std::vector<std::uint64_t>{e0.now(), e1.now(), machine->core(2).now(),
+                                      engine.stats().async_ops, server.freed.size()};
+  };
+  const std::vector<std::uint64_t> first = run();
+  EXPECT_EQ(first[3], 20u);
+  EXPECT_EQ(first[4], 20u);
+  EXPECT_EQ(run(), first);
 }
 
 TEST_F(OffloadEngineTest, RingFullBackpressure) {

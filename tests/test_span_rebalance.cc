@@ -412,17 +412,21 @@ NgxConfig RebalanceConfig(int shards) {
 }
 
 class SpanRebalanceFabricStress
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, std::uint32_t>> {};
 
 // Two clients hammer a watermarked fabric with a size mix whose large tail
 // (> the 32 KiB small-class ceiling) keeps spans mapping and unmapping, so
 // refills, offers and returns all fire while the shadow heap checks block
-// integrity. At the end, every directory invariant must still hold and the
-// allocator must balance its books.
+// integrity. With free_batch = 8 the frees ride per-(client, shard) buffers
+// and multi-entry doorbells, so a span can empty only when a batch flushes.
+// At the end, every directory invariant must still hold and the allocator
+// must balance its books.
 TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsistent) {
-  const auto [seed, shards] = GetParam();
+  const auto [seed, shards, free_batch] = GetParam();
   auto machine = MakeMachine(shards + 2);
-  auto sys = MakeNgxSystem(*machine, RebalanceConfig(shards));
+  NgxConfig cfg = RebalanceConfig(shards);
+  cfg.free_batch = free_batch;
+  auto sys = MakeNgxSystem(*machine, cfg);
   ASSERT_TRUE(sys.allocator->rebalancing());
   ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
   for (int round = 0; round < 2; ++round) {
@@ -447,91 +451,21 @@ TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsiste
   EXPECT_EQ(stats.mallocs - stats.oom_failures, stats.frees);
   EXPECT_EQ(stats.bytes_live, 0u);
   EXPECT_EQ(sys.allocator->partition_oom_failures(), 0u);
+  if (free_batch > 1) {
+    EXPECT_GT(sys.allocator->buffered_frees(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsByShards, SpanRebalanceFabricStress,
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
                                                         0xfeedface),
-                       ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
-    });
-
-// ---- The same stress under heterogeneous per-tenant traits ----
-//
-// The traits layer (DESIGN.md §15) must not bend a single span-economy
-// invariant: with the two clients running OPPOSITE contracts -- client 0
-// low-latency (unbatched frees, latency lane) and client 1 throughput
-// (deep free batches, bulk lane, its home shard's watermarks widened) --
-// plus lane admission on, the directory auditor and the shadow-heap
-// exerciser must hold exactly as they do for the homogeneous sweep, and
-// the books must still balance after the final flush.
-
-NgxConfig TenantRebalanceConfig(int shards) {
-  NgxConfig cfg = RebalanceConfig(shards);
-  cfg.qos_lanes = true;
-  cfg.lane_quantum = 8;
-  TenantSpec fe;
-  fe.name = "frontend";
-  fe.traits = MakeTenantTraits("low_latency");
-  fe.cores = {0};
-  TenantSpec an;
-  an.name = "analytics";
-  an.traits = MakeTenantTraits("throughput");
-  an.traits.free_batch = 8;
-  // Widen the watermark band of the shard this tenant homes on (its static
-  // route, shard 1): heterogeneous per-shard marks must rebalance cleanly
-  // against the global band on every other shard.
-  an.traits.span_low_mark = 4;
-  an.traits.span_high_mark = 24;
-  an.cores = {1};
-  cfg.tenants = {fe, an};
-  return cfg;
-}
-
-class TenantSpanRebalanceFabricStress
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
-
-TEST_P(TenantSpanRebalanceFabricStress, HeterogeneousTraitsKeepTheDirectoryConsistent) {
-  const auto [seed, shards] = GetParam();
-  auto machine = MakeMachine(shards + 2);
-  auto sys = MakeNgxSystem(*machine, TenantRebalanceConfig(shards));
-  ASSERT_TRUE(sys.allocator->rebalancing());
-  ASSERT_EQ(sys.allocator->core_lane(0), QosLane::kLatency);
-  ASSERT_EQ(sys.allocator->core_lane(1), QosLane::kBulk);
-  ASSERT_EQ(sys.allocator->shard_low_mark(1), 4u);
-  ShadowHeapExerciser ex(*machine, *sys.allocator, seed);
-  for (int round = 0; round < 2; ++round) {
-    for (int core = 0; core < 2; ++core) {
-      ex.Run(core, 500, 40, 64, 48 * 1024);
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-  }
-  ex.FreeAll(0);
-  for (int core = 0; core < 2; ++core) {
-    Env env(*machine, core);
-    sys.allocator->Flush(env);
-  }
-  sys.fabric->DrainAll();
-  AuditDirectoryConsistency(*sys.allocator->directory());
-  const AllocatorStats stats = sys.allocator->stats();
-  EXPECT_EQ(stats.mallocs - stats.oom_failures, stats.frees);
-  EXPECT_EQ(stats.bytes_live, 0u);
-  EXPECT_EQ(sys.allocator->partition_oom_failures(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByShards, TenantSpanRebalanceFabricStress,
-    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 42, 99, 12345, 0xdeadbeef,
-                                                        0xfeedface),
-                       ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
+                       ::testing::Values(2, 4, 8), ::testing::Values<std::uint32_t>(1, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, int, std::uint32_t>>& p) {
+      const std::uint32_t batch = std::get<2>(p.param);
+      return "seed" + std::to_string(std::get<0>(p.param)) + "_shards" +
+             std::to_string(std::get<1>(p.param)) +
+             (batch > 1 ? "_batch" + std::to_string(batch) : std::string());
     });
 
 // ---- Death tests: the return protocol's fatal bookkeeping guards ----

@@ -211,11 +211,10 @@ std::uint64_t Burst(Machine& machine, NgxSystem& sys, int n, std::uint64_t size,
 
 // Every lead of every (core, class) stays within cap - 1 - mark.
 void ExpectLeadsBounded(const NgxAllocator& a, int cores, std::uint32_t classes) {
+  const std::uint32_t cap = std::min(a.config().stash_capacity, NgxAllocator::kPipeHalfCap);
+  const std::uint32_t mark = a.config().stash_refill_mark;
+  const std::uint32_t room = mark + 1 < cap ? cap - 1 - mark : 0;
   for (int core = 0; core < cores; ++core) {
-    const std::uint32_t cap =
-        std::min(a.core_stash_capacity(core), NgxAllocator::kPipeHalfCap);
-    const std::uint32_t mark = a.core_refill_mark(core);
-    const std::uint32_t room = mark + 1 < cap ? cap - 1 - mark : 0;
     for (std::uint32_t cls = 0; cls < classes; ++cls) {
       EXPECT_LE(a.stash_lead(core, cls), room) << "core " << core << " class " << cls;
     }
