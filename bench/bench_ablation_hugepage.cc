@@ -3,7 +3,7 @@
 //
 // Two dTLB costs the paper's own Table 1 motivates removing: heap spans on
 // 4-KiB pages, and every fabric metadata structure (stash lines, channel
-// rings, free-batch buffers, heap side tables) on 4-KiB pages. This bench
+// rings, heap side tables) on 4-KiB pages. This bench
 // runs three rows -- no hugepages, packed hugepage spans, and packed spans
 // plus hugepage metadata -- and reports, per row: wall cycles, the Table-3
 // delta against BOTH Mimalloc anchors (4-KiB pages, as the paper's A1 ran,

@@ -16,18 +16,19 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 
 results_dir=build/bench_results
 mkdir -p "$results_dir"
-# Only run the actual bench executables: the build tree may also place
-# directories or non-executable artifacts under build/bench/.
-for b in build/bench/*; do
-  if [ -f "$b" ] && [ -x "$b" ]; then
-    name="$(basename "$b")"
-    name="${name#bench_}"
-    extra=()
-    if [ "$name" = "table3_nextgen" ]; then
-      extra+=(--trace "$results_dir/table3_nextgen.trace.json")
-    fi
-    "$b" --json "$results_dir/$name.json" "${extra[@]}"
+# Run exactly the bench targets bench/CMakeLists.txt declares (every
+# ngx_bench(...) line plus the google-benchmark micro bench): a reused build
+# tree keeps the stale binary of a bench whose target was deleted, and a
+# glob over build/bench/ would keep running it.
+mapfile -t benches < <(sed -nE 's/^(ngx_bench|add_executable)\((bench_[a-z0-9_]+).*/\2/p' \
+  bench/CMakeLists.txt)
+for bench in "${benches[@]}"; do
+  name="${bench#bench_}"
+  extra=()
+  if [ "$name" = "table3_nextgen" ]; then
+    extra+=(--trace "$results_dir/table3_nextgen.trace.json")
   fi
+  "build/bench/$bench" --json "$results_dir/$name.json" "${extra[@]}"
 done 2>&1 | tee bench_output.txt
 
 # Machine-readable summary: one line per bench, pulled from the JSON files.

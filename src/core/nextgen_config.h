@@ -88,12 +88,12 @@ struct NgxConfig {
   bool hugepage_packing = true;
 
   // Hugepage-backed fabric metadata (DESIGN.md §16): back the per-(client,
-  // shard) channel blocks, the free-batch buffers, the stash cache lines and
-  // the segregated metadata window with PageKind::kHuge2M mappings so
-  // client-side acquire-reads and server-side carve walks stop taking 4-KiB
-  // dTLB walks -- the paper's Table-1 dTLB argument carried into the fabric's
-  // own structures. False (the default) keeps every metadata region on 4-KiB
-  // pages, bit-identical to pre-knob builds.
+  // shard) channel blocks (which hold the staged batched frees), the stash
+  // cache lines and the segregated metadata window with PageKind::kHuge2M
+  // mappings so client-side acquire-reads and server-side carve walks stop
+  // taking 4-KiB dTLB walks -- the paper's Table-1 dTLB argument carried
+  // into the fabric's own structures. False (the default) keeps every
+  // metadata region on 4-KiB pages, bit-identical to pre-knob builds.
   bool hugepage_metadata = false;
 
   // Section 3.3.2: server-side run prediction + batch preallocation into a
@@ -130,9 +130,9 @@ struct NgxConfig {
   std::uint32_t ring_capacity = 64;
 
   // Elastic heap fabric (span-granular ownership; see DESIGN.md §7).
-  // Remote frees buffered per (client, shard) and flushed `free_batch`
-  // entries per ring doorbell. 1 = unbuffered (byte-for-byte the historical
-  // path). Must not exceed ring_capacity.
+  // Remote frees staged in their (client, shard) async ring and published
+  // `free_batch` entries per ring doorbell. 1 = one doorbell per free
+  // (byte-for-byte the historical path). Must not exceed ring_capacity.
   std::uint32_t free_batch = 1;
   // A shard whose partition runs dry requests whole free spans from the
   // donor with the most free spans via OffloadOp::kDonateSpan (needs

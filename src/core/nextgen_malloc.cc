@@ -127,16 +127,6 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
   }
   NGX_CHECK(config.free_batch >= 1 && config.free_batch <= config.ring_capacity,
             "free_batch must fit in one async ring");
-  if (config.offload && config.free_batch > 1) {
-    freebuf_slot_ = AlignUp(IndexStack::FootprintBytes(config.free_batch), 64);
-    freebuf_stride_ =
-        AlignUp(freebuf_slot_ * static_cast<std::uint64_t>(nshards), kSmallPageBytes);
-    freebuf_provider_ = std::make_unique<PageProvider>(kNgxFreeBufBase, kHeapWindow,
-                                                       "ngx-freebuf");
-    freebuf_base_ = freebuf_provider_->MapAtStartup(
-        machine, freebuf_stride_ * static_cast<std::uint64_t>(machine.num_cores()),
-        config.hugepage_metadata ? PageKind::kHuge2M : PageKind::kSmall4K);
-  }
   if (rebalance_) {
     // Two tick paths into the same guard: the engines' post-drain hooks
     // cover busy shards (every sync request and DrainAll ends in a tick),
@@ -196,9 +186,12 @@ NgxAllocator::NgxAllocator(Machine& machine, OffloadFabric* fabric, const NgxCon
     // spinning server also pick up a half-full free ring in the background
     // (no client stall) so backpressure stalls stay the rare case.
     fabric_->set_eager_drain_at(config.ring_capacity / 2);
+  }
+  if (pipeline_ || (fabric_ != nullptr && config.async_free && config.free_batch > 1)) {
     // Ring pushes keep the producer indices in registers (SPSC idiom): a
     // remote free costs the entry store and the head release-store, not a
-    // re-read of the server-written tail line per push.
+    // re-read of the server-written tail line per push. Owning the head is
+    // also what lets batched frees stage in the ring's unpublished slots.
     fabric_->set_producer_index_cache(true);
   }
   if (rebalance_ && config.watermark_timer_cycles > 0) {
@@ -445,13 +438,12 @@ void NgxAllocator::Free(Env& env, Addr addr) {
   }
   if (config_.async_free) {
     if (config_.free_batch > 1) {
-      // Buffer locally; one ring doorbell per free_batch entries.
-      IndexStack buf = FreeBuf(env.core_id(), shard);
-      if (!buf.Push(env, addr)) {
-        FlushFreeBuf(env, shard);
-        [[maybe_unused]] const bool pushed = buf.Push(env, addr);
-        assert(pushed && "a flushed free buffer must have room");
+      // Stage in the ring itself; the free that finds a full stage publishes
+      // it first, one ring doorbell per free_batch entries.
+      if (fabric_->staged_frees(env.core_id(), shard) == config_.free_batch) {
+        PublishFreeStage(env, shard);
       }
+      fabric_->StageFree(env, shard, addr, config_.free_batch);
       ++buffered_frees_;
     } else {
       fabric_->AsyncRequest(env, shard, OffloadOp::kFree, addr);
@@ -722,19 +714,12 @@ std::uint64_t NgxAllocator::HandleRefillStash(Env& server_env, int shard, int cl
   return 0;
 }
 
-void NgxAllocator::FlushFreeBuf(Env& env, int shard) {
-  IndexStack buf = FreeBuf(env.core_id(), shard);
-  std::uint64_t addrs[kMaxRingCapacity];
-  std::uint32_t n = 0;
-  std::uint64_t addr = 0;
-  while (buf.Pop(env, &addr)) {
-    addrs[n++] = addr;
-  }
+void NgxAllocator::PublishFreeStage(Env& env, int shard) {
+  const std::uint64_t t0 = env.now();
+  const std::uint32_t n = fabric_->PublishStaged(env, shard);
   if (n == 0) {
     return;
   }
-  const std::uint64_t t0 = env.now();
-  fabric_->AsyncRequestBatch(env, shard, addrs, n);
   ++free_flushes_;
   if (Recording()) {
     h_flush_occupancy_->Record(n);
@@ -757,6 +742,14 @@ void NgxAllocator::Flush(Env& env) {
   ClientOpScope op_scope(Recorder(), env, FlightRecorder::kFlush);
   if (!config_.offload) {
     return;
+  }
+  // Teardown must not lose staged remote frees: publish this core's stage
+  // on every shard (partial batches ride a smaller doorbell) before the
+  // stash returns below, whose doorbells would otherwise carry them.
+  if (config_.free_batch > 1) {
+    for (int s = 0; s < fabric_->num_shards(); ++s) {
+      PublishFreeStage(env, s);
+    }
   }
   // Push pending async frees through, and return any stashed blocks so
   // footprint accounting settles. Stashed blocks may have been batched by
@@ -799,13 +792,6 @@ void NgxAllocator::Flush(Env& env) {
           fabric_->AsyncRequest(env, ShardOfAddr(block), OffloadOp::kFree, block);
         }
       }
-    }
-  }
-  // Teardown must not lose buffered remote frees: drain this core's
-  // per-shard free buffers (partial batches ride a smaller doorbell).
-  if (config_.free_batch > 1) {
-    for (int s = 0; s < fabric_->num_shards(); ++s) {
-      FlushFreeBuf(env, s);
     }
   }
   for (int s = 0; s < fabric_->num_shards(); ++s) {

@@ -24,8 +24,9 @@
 //    above the high mark return fully-recycled away spans to their home
 //    slice (kReturnSpan) and offer surplus to starved peers (kOfferSpans),
 //    so inline kDonateSpan on the malloc path becomes the rare fallback.
-//    With config.free_batch > 1, remote frees accumulate in per-(client,
-//    shard) buffers and flush free_batch entries per ring doorbell.
+//    With config.free_batch > 1, remote frees stage in the unpublished slots
+//    of their (client, shard) ring and publish free_batch entries per ring
+//    doorbell.
 //
 // With config.stash_pipeline (DESIGN.md §9), each (core, class) stash splits
 // into two single-cache-line halves whose header word doubles as a
@@ -160,7 +161,8 @@ class NgxAllocator : public Allocator {
   // Mallocs that failed because the shard's partition was exhausted and
   // donation could not (or was not allowed to) refill it.
   std::uint64_t partition_oom_failures() const { return partition_ooms_; }
-  // Remote frees buffered and later flushed in a batch (0 with free_batch=1).
+  // Remote frees staged in the ring, and the doorbells that published a
+  // stage on a full stage or in Flush; both 0 with free_batch = 1.
   std::uint64_t buffered_frees() const { return buffered_frees_; }
   std::uint64_t free_flushes() const { return free_flushes_; }
   // Watermark rebalancing (config.span_low_mark > 0): background transfers
@@ -321,14 +323,9 @@ class NgxAllocator : public Allocator {
     return size <= classes_.max_size() ? classes_.ClassOf(size) : classes_.num_classes();
   }
 
-  IndexStack FreeBuf(int core, int shard) const {
-    return IndexStack(freebuf_base_ + freebuf_stride_ * static_cast<std::uint64_t>(core) +
-                          freebuf_slot_ * static_cast<std::uint64_t>(shard),
-                      config_.free_batch);
-  }
-  // Drains `core`'s free buffer for `shard` into one multi-entry ring
-  // doorbell (no-op when empty).
-  void FlushFreeBuf(Env& env, int shard);
+  // Publishes the calling core's staged frees to `shard` with one ring
+  // doorbell (no-op when none are staged).
+  void PublishFreeStage(Env& env, int shard);
 
   // Grant sizing: the spans the recipient's provider needs to satisfy the
   // failed malloc's next Map from the grafted range.
@@ -451,10 +448,6 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_starvation_stalls_ = 0;
   std::uint64_t recycled_frees_ = 0;
   std::uint64_t stash_local_flips_ = 0;
-  std::unique_ptr<PageProvider> freebuf_provider_;  // free_batch > 1 only
-  Addr freebuf_base_ = 0;
-  std::uint64_t freebuf_stride_ = 0;  // per client core
-  std::uint64_t freebuf_slot_ = 0;    // per shard within a core's block
   std::uint64_t buffered_frees_ = 0;
   std::uint64_t free_flushes_ = 0;
   // Flight-recorder host mirrors. stash_shard_ tracks which shard last

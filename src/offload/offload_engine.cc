@@ -64,26 +64,21 @@ OffloadEngine::OffloadEngine(Machine& machine, int server_core, Addr channel_bas
   prod_cache_.assign(static_cast<std::size_t>(n), ProducerIndexCache{});
 }
 
-std::uint64_t OffloadEngine::CachedPushReserve(Env& client_env, int client,
-                                               std::uint32_t n) {
+void OffloadEngine::CachedPushReserve(Env& client_env, int client, std::uint32_t n) {
   Channel& ch = channels_[client];
   ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-  std::uint64_t occupancy = pc.head - pc.cached_tail;
-  if (occupancy + n > ch.ring_capacity()) {
+  if (pc.head - pc.cached_tail + n > ch.ring_capacity()) {
     // The cached tail says the ring is full -- but it only ever lags the
     // real tail, so refresh it (this is the one timed read of the
     // server-written tail line) before concluding backpressure is real.
     pc.cached_tail = ch.RingTail(client_env);
-    occupancy = pc.head - pc.cached_tail;
-    if (occupancy + n > ch.ring_capacity()) {
+    if (pc.head - pc.cached_tail + n > ch.ring_capacity()) {
       StallOnFullRing(client_env, client);
       // The stall's drain emptied this client's ring; the re-read models the
       // producer's spin loop observing the tail catch up.
       pc.cached_tail = ch.RingTail(client_env);
-      occupancy = pc.head - pc.cached_tail;
     }
   }
-  return occupancy;
 }
 
 void OffloadEngine::BindInstruments() {
@@ -220,91 +215,77 @@ std::uint64_t OffloadEngine::SyncRequest(Env& client_env, OffloadOp op, std::uin
   return out;
 }
 
-void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0) {
-  assert(server_ != nullptr);
-  assert(op == OffloadOp::kFree && "only frees are fire-and-forget");
-  const int client = client_env.core_id();
-  if (FlightRecorder* rec = Recorder()) {
-    rec->matrix().NoteAsync(client, shard_id_, 1);
-  }
+std::uint64_t OffloadEngine::Push(Env& client_env, int client,
+                                  const std::uint64_t* entries, std::uint32_t n) {
   Channel& ch = channels_[client];
   std::uint64_t occupancy;
   if (producer_cache_) {
-    CachedPushReserve(client_env, client, 1);
     ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-    // The eager-drain policy below is the SERVER noticing its ring filling
-    // during its poll loop, so it keys off the true occupancy -- an untimed
-    // host read standing in for the server's own polling (whose timed reads
-    // happen inside DrainRing) -- not the producer's deliberately stale view.
+    if (pc.staged + n > ch.ring_capacity()) {
+      // Only a full stage at free_batch == ring_capacity gets here: it rides
+      // its own doorbell first, so this push never overruns a slot the
+      // server has not consumed.
+      PublishStaged(client_env);
+    }
+    CachedPushReserve(client_env, client, pc.staged + n);
+    // Occupancy keys the eager-drain policy, which is the SERVER noticing its
+    // ring filling during its poll loop: an untimed host read of the true
+    // tail stands in for the server's own polling (whose timed reads happen
+    // inside DrainRing), not the producer's deliberately stale view.
     occupancy = pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff);
-    ch.RingPushAt(client_env, pc.head, &arg0, 1);
-    ++pc.head;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ch.RingStage(client_env, pc.head + pc.staged + i, entries[i]);
+    }
+    n += pc.staged;
+    pc.head += n;
+    pc.staged = 0;
+    ch.RingPublish(client_env, pc.head);
   } else {
     const std::uint64_t space = ch.RingSpace(client_env);
     occupancy = ch.ring_capacity() - space;
     if (space == 0) {
       StallOnFullRing(client_env, client);
     }
-    ch.RingPush(client_env, arg0);
+    ch.RingPush(client_env, entries[0]);
   }
-  if (Recording()) {
-    h_ring_occupancy_->Record(occupancy);
-  }
-  ++stats_.ring_doorbells;
-  if (eager_drain_at_ > 0 && occupancy + 1 >= eager_drain_at_) {
-    // The spinning server notices the filling ring and drains it in the
-    // background on its own clock -- the client walks away after the push.
-    Core& server = machine_->core(server_core_);
-    server.AdvanceTo(client_env.now());
-    Env server_env = ServerEnv();
-    server_env.Work(poll_work_);
-    DrainRing(server_env, client);
-    if (post_drain_hook_) {
-      post_drain_hook_(server_env);
-    }
-  }
-}
-
-void OffloadEngine::AsyncRequestBatch(Env& client_env, const std::uint64_t* addrs,
-                                      std::uint32_t n) {
-  assert(server_ != nullptr);
-  NGX_CHECK(n > 0 && n <= channels_[0].ring_capacity(),
-            "async batch cannot exceed the ring capacity");
-  const int client = client_env.core_id();
   if (FlightRecorder* rec = Recorder()) {
     rec->matrix().NoteAsync(client, shard_id_, n);
   }
-  Channel& ch = channels_[client];
-  std::uint64_t occupancy;
-  if (producer_cache_) {
-    CachedPushReserve(client_env, client, n);
-    ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-    occupancy = pc.head - machine_->memory().Read<std::uint64_t>(ch.base() + kRingTailOff);
-    ch.RingPushAt(client_env, pc.head, addrs, n);
-    pc.head += n;
-  } else {
-    const std::uint64_t space = ch.RingSpace(client_env);
-    occupancy = ch.ring_capacity() - space;
-    if (space < n) {
-      // A stall fully drains this client's ring, so one round always frees
-      // enough slots (n <= capacity).
-      StallOnFullRing(client_env, client);
-    }
-    ch.RingPushN(client_env, addrs, n);
-  }
   if (Recording()) {
     h_ring_occupancy_->Record(occupancy);
   }
   ++stats_.ring_doorbells;
-  if (eager_drain_at_ > 0 && occupancy + n >= eager_drain_at_) {
-    Core& server = machine_->core(server_core_);
-    server.AdvanceTo(client_env.now());
-    Env server_env = ServerEnv();
-    server_env.Work(poll_work_);
-    DrainRing(server_env, client);
-    if (post_drain_hook_) {
-      post_drain_hook_(server_env);
-    }
+  return occupancy + n;
+}
+
+void OffloadEngine::AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0) {
+  assert(server_ != nullptr);
+  assert(op == OffloadOp::kFree && "only frees are fire-and-forget");
+  const int client = client_env.core_id();
+  MaybeEagerDrain(client_env, client, Push(client_env, client, &arg0, 1));
+}
+
+void OffloadEngine::StageFree(Env& client_env, std::uint64_t addr, std::uint32_t batch) {
+  assert(server_ != nullptr);
+  NGX_CHECK(producer_cache_, "staged frees need the producer index cache");
+  const int client = client_env.core_id();
+  Channel& ch = channels_[client];
+  ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
+  NGX_CHECK(batch <= ch.ring_capacity() && pc.staged < batch,
+            "a full stage must be published before the next free");
+  if (pc.staged == 0) {
+    // Stage start: reserve every slot the stage can fill, so each staged
+    // store lands in a slot the server has already consumed.
+    CachedPushReserve(client_env, client, batch);
+  }
+  ch.RingStage(client_env, pc.head + pc.staged, addr);
+  ++pc.staged;
+}
+
+void OffloadEngine::PublishStaged(Env& client_env) {
+  const int client = client_env.core_id();
+  if (staged_frees(client) > 0) {
+    MaybeEagerDrain(client_env, client, Push(client_env, client, nullptr, 0));
   }
 }
 
@@ -313,34 +294,17 @@ std::uint64_t OffloadEngine::AsyncRequestKicked(Env& client_env, OffloadOp op,
   assert(server_ != nullptr);
   NGX_CHECK((arg & ~kRingArgMask) == 0, "tagged ring arg must leave the top byte free");
   const int client = client_env.core_id();
-  if (FlightRecorder* rec = Recorder()) {
-    rec->matrix().NoteAsync(client, shard_id_, 1);
-  }
-  Channel& ch = channels_[client];
-  std::uint64_t occupancy;
-  if (producer_cache_) {
-    occupancy = CachedPushReserve(client_env, client, 1);
-    ProducerIndexCache& pc = prod_cache_[static_cast<std::size_t>(client)];
-    const std::uint64_t entry = RingEntryWord(op, arg);
-    ch.RingPushAt(client_env, pc.head, &entry, 1);
-    ++pc.head;
-  } else {
-    const std::uint64_t space = ch.RingSpace(client_env);
-    occupancy = ch.ring_capacity() - space;
-    if (space == 0) {
-      StallOnFullRing(client_env, client);
-    }
-    ch.RingPush(client_env, RingEntryWord(op, arg));
-  }
-  if (Recording()) {
-    h_ring_occupancy_->Record(occupancy);
-  }
-  ++stats_.ring_doorbells;
+  const std::uint64_t entry = RingEntryWord(op, arg);
+  Push(client_env, client, &entry, 1);
   // The kick: the server consumes the doorbell in its drain window on its
   // own clock. Service starts no earlier than the doorbell store, but the
   // client is NOT advanced to the server's finish -- the whole service
   // overlaps with the client's subsequent work, which is the point of the
   // stash pipeline.
+  return ServeDoorbell(client_env, client);
+}
+
+std::uint64_t OffloadEngine::ServeDoorbell(Env& client_env, int client) {
   Core& server = machine_->core(server_core_);
   server.AdvanceTo(client_env.now());
   Env server_env = ServerEnv();
@@ -362,22 +326,15 @@ void OffloadEngine::StallOnFullRing(Env& client_env, int client) {
       tel.tracer().Instant("ring_full", client, client_env.now());
     }
   }
-  Core& server = machine_->core(server_core_);
-  server.AdvanceTo(client_env.now());
-  Env server_env = ServerEnv();
-  server_env.Work(poll_work_);
-  DrainRing(server_env, client);
-  if (post_drain_hook_) {
-    post_drain_hook_(server_env);
-  }
+  const std::uint64_t drained = ServeDoorbell(client_env, client);
   if (FlightRecorder* rec = Recorder()) {
     // The backpressure cost the client is about to pay: its clock jump to
     // the drain's finish.
-    if (rec->InClientOp(client) && server_env.now() > client_env.now()) {
-      rec->AddCycles(FlightRecorder::kRingWait, server_env.now() - client_env.now());
+    if (rec->InClientOp(client) && drained > client_env.now()) {
+      rec->AddCycles(FlightRecorder::kRingWait, drained - client_env.now());
     }
   }
-  machine_->core(client).AdvanceTo(server_env.now());
+  machine_->core(client).AdvanceTo(drained);
 }
 
 void OffloadEngine::DrainAll() {

@@ -34,8 +34,8 @@ struct OffloadEngineStats {
   std::uint64_t async_ops = 0;
   std::uint64_t ring_full_stalls = 0;
   std::uint64_t server_busy_waits = 0;  // requests that queued behind the server
-  // Release-stores of a ring head (one per RingPush / per RingPushN batch):
-  // the cache-line transfers batched frees exist to amortize.
+  // Release-stores of a ring head (one per push, however many staged frees
+  // it publishes): the cache-line transfers batched frees exist to amortize.
   std::uint64_t ring_doorbells = 0;
   // Tagged kRefillStash entries served out of drained rings (the stash
   // pipeline's background refills; a subset of async_ops).
@@ -62,19 +62,31 @@ class OffloadEngine {
   std::uint64_t SyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg);
 
   // Fire-and-forget (used for free). Stalls only when the ring is full.
+  // Its doorbell also publishes the client's staged frees, ahead of it.
   void AsyncRequest(Env& client_env, OffloadOp op, std::uint64_t arg0);
 
-  // Batched fire-and-forget frees: all entries ride one ring doorbell
-  // (RingPushN). Stalls like AsyncRequest when the ring lacks space.
-  void AsyncRequestBatch(Env& client_env, const std::uint64_t* addrs, std::uint32_t n);
+  // Ring-staged batched free (DESIGN.md §7; needs the producer index
+  // cache): stores `addr` in the client's next unpublished ring slot, where
+  // the server cannot see it until a doorbell publishes it. A stage holds at
+  // most `batch` frees; its first free reserves all `batch` slots.
+  void StageFree(Env& client_env, std::uint64_t addr, std::uint32_t batch);
+
+  // Publishes the client's staged frees with one doorbell (no-op if none).
+  void PublishStaged(Env& client_env);
+
+  // Frees staged on `client`'s ring and not yet published.
+  std::uint32_t staged_frees(int client) const {
+    return prod_cache_[static_cast<std::size_t>(client)].staged;
+  }
 
   // Non-blocking tagged request (the stash pipeline's kRefillStash): pushes
-  // one tagged entry on the client's ring, then serves the ring in the
-  // server's drain window -- on the server's OWN clock, starting no earlier
-  // than the doorbell store, WITHOUT advancing the client to the server's
-  // finish. The service overlaps with whatever the client does next; callers
-  // observe completion through state the server handler publishes (the stash
-  // publish word). Returns the server clock after the drain.
+  // one tagged entry on the client's ring (publishing any staged frees
+  // ahead of it), then serves the ring in the server's drain window -- on
+  // the server's OWN clock, starting no earlier than the doorbell store,
+  // WITHOUT advancing the client to the server's finish. The service
+  // overlaps with whatever the client does next; callers observe completion
+  // through state the server handler publishes (the stash publish word).
+  // Returns the server clock after the drain.
   std::uint64_t AsyncRequestKicked(Env& client_env, OffloadOp op, std::uint64_t arg);
 
   // Processes every pending async entry of every client on the server core.
@@ -114,14 +126,19 @@ class OffloadEngine {
   // and would otherwise transfer back on every occupancy check -- is
   // re-read only when the cached copy says the ring is full (at most one
   // stale-full false positive per capacity pushes, since the real tail only
-  // ever advances). Off by default; the stash pipeline enables it, and the
-  // non-pipelined protocol stays byte-for-byte identical to the seed.
+  // ever advances). Owning the head also lets frees stage past it
+  // (StageFree). Off by default; the stash pipeline and free_batch > 1
+  // enable it, keeping the plain free_batch = 1 protocol the seed's.
   void set_producer_index_cache(bool on) { producer_cache_ = on; }
 
  private:
   Env ServerEnv() { return Env(*machine_, server_core_); }
   // Drains every pending entry of `client`'s ring on the server clock.
   void DrainRing(Env& server_env, int client);
+  // The spinning server picks `client`'s doorbell up in its drain window on
+  // its OWN clock, starting no earlier than the client's store; the client
+  // is not advanced. Returns the server clock after the drain.
+  std::uint64_t ServeDoorbell(Env& client_env, int client);
   // Ring-full backpressure: runs the server's drain for `client` and syncs
   // the client clock to it.
   void StallOnFullRing(Env& client_env, int client);
@@ -147,13 +164,27 @@ class OffloadEngine {
   // set_producer_index_cache). `head` shadows the value the client last
   // release-stored; `cached_tail` lags the server's true tail, which is safe
   // because a stale tail only UNDER-estimates free space, never over.
+  // `staged` frees sit in the slots from `head` on, stored but unpublished.
   struct ProducerIndexCache {
     std::uint64_t head = 0;
     std::uint64_t cached_tail = 0;
+    std::uint32_t staged = 0;
   };
-  // Space check + stale-tail refresh + stall for an n-entry cached push;
-  // returns the pre-push ring occupancy from the producer's view.
-  std::uint64_t CachedPushReserve(Env& client_env, int client, std::uint32_t n);
+  // Space check + stale-tail refresh + stall for an n-entry cached push.
+  void CachedPushReserve(Env& client_env, int client, std::uint32_t n);
+  // The one doorbell every fire-and-forget push rings: appends `n` entries
+  // (n <= 1 without the producer index cache) behind the client's staged
+  // frees and publishes them all with one head release-store, stalling on
+  // a full ring. Returns the ring occupancy after the push.
+  std::uint64_t Push(Env& client_env, int client, const std::uint64_t* entries,
+                     std::uint32_t n);
+  // The eager-drain policy (set_eager_drain_at) after a push left the ring
+  // holding `occupancy` entries.
+  void MaybeEagerDrain(Env& client_env, int client, std::uint64_t occupancy) {
+    if (eager_drain_at_ > 0 && occupancy >= eager_drain_at_) {
+      ServeDoorbell(client_env, client);
+    }
+  }
 
   // Host-side accounting of server cycles spent in carve-path handlers.
   void NoteCarveCycles(std::uint64_t cycles) {

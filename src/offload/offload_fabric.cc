@@ -103,24 +103,28 @@ std::uint64_t OffloadFabric::SyncRequest(Env& client_env, int s, OffloadOp op,
 }
 
 void OffloadFabric::AsyncRequest(Env& client_env, int s, OffloadOp op, std::uint64_t arg) {
-  ++async_enqueued_[static_cast<std::size_t>(s)];
-  NoteEpochOp(client_env.core_id(), s);
+  const int client = client_env.core_id();
+  NoteEnqueued(client, s, 1 + staged_frees(client, s));
   shard(s).AsyncRequest(client_env, op, arg);
   RecordQueueDepth(client_env, s);
 }
 
-void OffloadFabric::AsyncRequestBatch(Env& client_env, int s, const std::uint64_t* addrs,
-                                      std::uint32_t n) {
-  async_enqueued_[static_cast<std::size_t>(s)] += n;
-  NoteEpochOp(client_env.core_id(), s, n);
-  shard(s).AsyncRequestBatch(client_env, addrs, n);
+std::uint32_t OffloadFabric::PublishStaged(Env& client_env, int s) {
+  const int client = client_env.core_id();
+  const std::uint32_t n = staged_frees(client, s);
+  if (n == 0) {
+    return 0;
+  }
+  NoteEnqueued(client, s, n);
+  shard(s).PublishStaged(client_env);
   RecordQueueDepth(client_env, s);
+  return n;
 }
 
 std::uint64_t OffloadFabric::AsyncRequestKicked(Env& client_env, int s, OffloadOp op,
                                                 std::uint64_t arg) {
-  ++async_enqueued_[static_cast<std::size_t>(s)];
-  NoteEpochOp(client_env.core_id(), s);
+  const int client = client_env.core_id();
+  NoteEnqueued(client, s, 1 + staged_frees(client, s));
   const std::uint64_t t = shard(s).AsyncRequestKicked(client_env, op, arg);
   RecordQueueDepth(client_env, s);
   return t;

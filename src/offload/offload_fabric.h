@@ -123,12 +123,22 @@ class OffloadFabric {
 
   // Round trip / fire-and-forget on an explicit shard. Callers route mallocs
   // through RouteMalloc and frees through their address->shard owner map.
+  // Every fire-and-forget doorbell also publishes the client's staged frees
+  // on that shard, and the fabric counts them (enqueue depth, epoch matrix)
+  // when they are published.
   std::uint64_t SyncRequest(Env& client_env, int s, OffloadOp op, std::uint64_t arg);
   void AsyncRequest(Env& client_env, int s, OffloadOp op, std::uint64_t arg);
 
-  // Batched frees to shard s: all entries share one ring doorbell.
-  void AsyncRequestBatch(Env& client_env, int s, const std::uint64_t* addrs,
-                         std::uint32_t n);
+  // Ring-staged batched frees to shard s (see OffloadEngine::StageFree):
+  // StageFree stores without a doorbell; PublishStaged rings one for every
+  // staged free and returns how many it published.
+  void StageFree(Env& client_env, int s, std::uint64_t addr, std::uint32_t batch) {
+    shard(s).StageFree(client_env, addr, batch);
+  }
+  std::uint32_t PublishStaged(Env& client_env, int s);
+  std::uint32_t staged_frees(int client, int s) const {
+    return shard(s).staged_frees(client);
+  }
 
   // Non-blocking tagged op to shard s, served eagerly in the shard's drain
   // window on its own clock (the stash pipeline's kRefillStash; see
@@ -176,6 +186,12 @@ class OffloadFabric {
   OffloadEngineStats TotalStats() const;
 
  private:
+  // Counts `n` entries enqueued by (client, s) -- one new entry plus the
+  // staged frees its doorbell publishes -- before the engine pushes them.
+  void NoteEnqueued(int client, int s, std::uint64_t n) {
+    async_enqueued_[static_cast<std::size_t>(s)] += n;
+    NoteEpochOp(client, s, n);
+  }
   // Samples QueueDepth(s) into telemetry after an enqueue.
   void RecordQueueDepth(Env& client_env, int s);
 

@@ -175,8 +175,8 @@ INSTANTIATE_TEST_SUITE_P(Allocators, AllocatorPropertyTest,
                                            AllocatorCase{"tcmalloc"}, AllocatorCase{"mimalloc"},
                                            AllocatorCase{"nextgen"},
                                            AllocatorCase{"nextgen-inline"}),
-                         [](const ::testing::TestParamInfo<AllocatorCase>& info) {
-                           std::string n = info.param.name;
+                         [](const ::testing::TestParamInfo<AllocatorCase>& p) {
+                           std::string n = p.param.name;
                            for (char& c : n) {
                              if (c == '-') {
                                c = '_';

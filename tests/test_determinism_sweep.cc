@@ -419,11 +419,13 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The exact pipeline run bench_table3_nextgen hashes (machine, workload,
 // config, seed); reproduced here so a regression that shifts one cycle fails
-// in ctest, not only in the bench.
-std::uint64_t HashedTable3PipelineRun() {
+// in ctest, not only in the bench. The hugepage knobs are the one input the
+// tests below vary.
+RunResult Table3PipelineRun(bool hugepage_spans, bool hugepage_metadata) {
   Machine machine(bench::Table3Machine());
   NgxConfig cfg = NgxConfig::PaperPrototype();
-  cfg.hugepage_spans = false;
+  cfg.hugepage_spans = hugepage_spans;
+  cfg.hugepage_metadata = hugepage_metadata;
   cfg.prediction = true;
   cfg.stash_pipeline = true;
   cfg.stash_refill_mark = 2;
@@ -434,8 +436,7 @@ std::uint64_t HashedTable3PipelineRun() {
   opt.cores = {0};
   opt.seed = 7;
   opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, wl, opt);
-  return bench::SimStateHash(r);
+  return RunWorkload(machine, *sys.allocator, wl, opt);
 }
 
 // The hash bench_table3_nextgen pinned when the pipeline row was frozen.
@@ -445,7 +446,7 @@ std::uint64_t HashedTable3PipelineRun() {
 constexpr std::uint64_t kTable3PipelineHash = 0xc341e49c161c6028ull;
 
 TEST(PipelineDeterminism, Table3PipelineRunReplaysThePinnedHash) {
-  EXPECT_EQ(HashedTable3PipelineRun(), kTable3PipelineHash)
+  EXPECT_EQ(bench::SimStateHash(Table3PipelineRun(false, false)), kTable3PipelineHash)
       << "the Table-3 pipeline run no longer matches its pinned history";
 }
 
@@ -479,7 +480,9 @@ std::uint64_t HashedTwoShardXmallocRun() {
   return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
 }
 
-constexpr std::uint64_t kTwoShardXmallocHash = 0x0bdda1d7f02a8b68ull;
+// Re-pinned when batched frees moved into the ring itself (DESIGN.md §7):
+// staged frees reach the server earlier, and in free order.
+constexpr std::uint64_t kTwoShardXmallocHash = 0x29d8369adb593bd2ull;
 
 TEST(MultiShardDeterminism, TwoShardXmallocReplaysThePinnedHash) {
   EXPECT_EQ(HashedTwoShardXmallocRun(), kTwoShardXmallocHash)
@@ -493,82 +496,29 @@ TEST(MultiShardDeterminism, TwoShardXmallocReplaysThePinnedHash) {
 // knob-less build. With the full hugepage stack on, the run is
 // still a deterministic simulation and the program-visible books are
 // untouched -- the knobs may only move translations and syscalls.
-std::uint64_t HashedTable3HugepageRun(AllocatorStats* stats_out = nullptr) {
-  Machine machine(bench::Table3Machine());
-  NgxConfig cfg = NgxConfig::PaperPrototype();
-  cfg.hugepage_spans = true;
-  cfg.hugepage_metadata = true;
-  cfg.prediction = true;
-  cfg.stash_pipeline = true;
-  cfg.stash_refill_mark = 2;
-  cfg.stash_capacity = 14;
-  NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-  XalancLike wl(bench::XalancTable3Config());
-  RunOptions opt;
-  opt.cores = {0};
-  opt.seed = 7;
-  opt.server_cores = {1};
-  const RunResult r = RunWorkload(machine, *sys.allocator, wl, opt);
-  if (stats_out != nullptr) {
-    *stats_out = r.alloc_stats;
-  }
-  return bench::SimStateHash(r);
-}
-
 TEST(HugepageDeterminism, ExplicitOffKnobsReplayThePinnedPipelineHash) {
-  auto run = [] {
-    Machine machine(bench::Table3Machine());
-    NgxConfig cfg = NgxConfig::PaperPrototype();
-    cfg.hugepage_spans = false;
-    cfg.hugepage_metadata = false;  // explicit, not just defaulted
-    cfg.prediction = true;
-    cfg.stash_pipeline = true;
-    cfg.stash_refill_mark = 2;
-    cfg.stash_capacity = 14;
-    NgxSystem sys = MakeNgxSystem(machine, cfg, /*server_core=*/1);
-    XalancLike wl(bench::XalancTable3Config());
-    RunOptions opt;
-    opt.cores = {0};
-    opt.seed = 7;
-    opt.server_cores = {1};
-    return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
-  };
-  EXPECT_EQ(run(), kTable3PipelineHash)
+  EXPECT_EQ(bench::SimStateHash(Table3PipelineRun(/*hugepage_spans=*/false,
+                                                  /*hugepage_metadata=*/false)),
+            kTable3PipelineHash)
       << "hugepage_spans/hugepage_metadata = false must be bit-identical to "
          "the pre-§16 build";
 }
 
 TEST(HugepageDeterminism, PackedMetadataRunReplaysBitIdentically) {
-  AllocatorStats a_stats;
-  AllocatorStats b_stats;
-  const std::uint64_t a = HashedTable3HugepageRun(&a_stats);
-  const std::uint64_t b = HashedTable3HugepageRun(&b_stats);
-  EXPECT_EQ(a, b) << "spans+packing+metadata must replay bit-identically";
-  EXPECT_NE(a, kTable3PipelineHash)
+  const RunResult a = Table3PipelineRun(true, true);
+  const RunResult b = Table3PipelineRun(true, true);
+  EXPECT_EQ(bench::SimStateHash(a), bench::SimStateHash(b))
+      << "spans+packing+metadata must replay bit-identically";
+  EXPECT_NE(bench::SimStateHash(a), kTable3PipelineHash)
       << "the hugepage stack must actually change simulated history";
   // The knobs only move translations and syscalls, never program-visible
   // allocation behaviour: the logical books match the knob-less pipeline.
-  EXPECT_EQ(a_stats.mallocs, b_stats.mallocs);
-  const AllocatorStats base = [] {
-    Machine m(bench::Table3Machine());
-    NgxConfig cfg = NgxConfig::PaperPrototype();
-    cfg.hugepage_spans = false;
-    cfg.prediction = true;
-    cfg.stash_pipeline = true;
-    cfg.stash_refill_mark = 2;
-    cfg.stash_capacity = 14;
-    NgxSystem sys = MakeNgxSystem(m, cfg, /*server_core=*/1);
-    XalancLike wl(bench::XalancTable3Config());
-    RunOptions opt;
-    opt.cores = {0};
-    opt.seed = 7;
-    opt.server_cores = {1};
-    return RunWorkload(m, *sys.allocator, wl, opt).alloc_stats;
-  }();
-  EXPECT_EQ(a_stats.mallocs, base.mallocs);
-  EXPECT_EQ(a_stats.frees, base.frees);
-  EXPECT_EQ(a_stats.bytes_requested, base.bytes_requested);
-  EXPECT_EQ(a_stats.oom_failures, base.oom_failures);
+  EXPECT_EQ(a.alloc_stats.mallocs, b.alloc_stats.mallocs);
+  const AllocatorStats base = Table3PipelineRun(false, false).alloc_stats;
+  EXPECT_EQ(a.alloc_stats.mallocs, base.mallocs);
+  EXPECT_EQ(a.alloc_stats.frees, base.frees);
+  EXPECT_EQ(a.alloc_stats.bytes_requested, base.bytes_requested);
+  EXPECT_EQ(a.alloc_stats.oom_failures, base.oom_failures);
 }
 
 // Pipelined stash + batched remote frees across {1, 2, 4} shards: kicked
@@ -608,7 +558,7 @@ TEST_P(BatchedFreeShardSweepTest, PipelinedChurnWithBatchedFreesIsDeterministic)
     const AllocatorStats s = sys.allocator->stats();
     EXPECT_EQ(s.mallocs, s.frees) << shards << " shards";
     EXPECT_EQ(s.bytes_live, 0u);
-    EXPECT_GT(sys.allocator->buffered_frees(), 0u) << "frees must ride the batch buffers";
+    EXPECT_GT(sys.allocator->buffered_frees(), 0u) << "frees must stage in the rings";
     return bench::SimStateHash(r);
   };
   EXPECT_EQ(run(), run()) << "batched-free run must replay bit-identically at "

@@ -12,8 +12,9 @@
 //    against the unpacked 31/32 burn, donated ranges landing on an
 //    already-backed frame without a second charge, and the fabric's mapped
 //    total staying on the ledger when the recipient empties a donor frame;
-//  * hugepage_metadata flips the channel / free-buffer / metadata regions
-//    to 2-MiB backing (and leaves them on 4 KiB when off);
+//  * hugepage_metadata flips the channel / metadata regions to 2-MiB
+//    backing (and leaves them on 4 KiB when off), and batched frees map no
+//    region of their own;
 //  * construction rejects the retired unpacked mode (hugepage_packing =
 //    false);
 //  * a randomized malloc/free fabric stress with packing + donation armed
@@ -326,13 +327,13 @@ TEST(HugepageMetadata, KnobFlipsFabricRegionsToHugePages) {
     auto machine = MakeMachine(3);
     NgxConfig cfg = NgxConfig::PaperPrototype();
     cfg.prediction = true;  // maps the stash window too
-    cfg.free_batch = 8;     // maps the free-batch buffers
+    cfg.free_batch = 8;     // stages in the channel rings, maps nothing more
     cfg.hugepage_metadata = on;
     auto sys = MakeNgxSystem(*machine, cfg, /*first_server_core=*/2);
     const std::uint64_t expect = on ? kHugePageBytes : kSmallPageBytes;
     const AddressMap& map = machine->address_map();
     EXPECT_EQ(map.PageBytesFor(kChannelBase), expect) << "channel block";
-    EXPECT_EQ(map.PageBytesFor(kNgxFreeBufBase), expect) << "free-batch buffers";
+    EXPECT_EQ(map.Find(kNgxFreeBufBase), nullptr) << "free batches stage in the ring";
     EXPECT_EQ(map.PageBytesFor(kNgxMetaBase), expect) << "heap side tables";
     EXPECT_EQ(map.PageBytesFor(kNgxMetaBase + kHeapWindow), expect) << "stash lines";
   }

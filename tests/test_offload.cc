@@ -6,6 +6,7 @@
 
 #include "src/offload/channel.h"
 #include "src/offload/offload_engine.h"
+#include "src/offload/offload_fabric.h"
 #include "tests/test_util.h"
 
 namespace ngx {
@@ -20,6 +21,7 @@ class EchoServer : public OffloadServer {
     env.Work(work_per_request);
     last_client = client;
     last_op = op;
+    ops.push_back(op);
     if (op == OffloadOp::kFree) {
       freed.push_back(arg);
       return 0;
@@ -30,6 +32,7 @@ class EchoServer : public OffloadServer {
   std::uint64_t work_per_request = 50;
   int last_client = -1;
   OffloadOp last_op = OffloadOp::kMalloc;
+  std::vector<OffloadOp> ops;  // every handled op, in service order
   std::vector<std::uint64_t> freed;
 };
 
@@ -186,6 +189,109 @@ TEST_F(OffloadEngineTest, MailboxLinesActuallyTransfer) {
             0u);
   EXPECT_GT(machine_->core(2).pmu().remote_hitm + machine_->core(2).pmu().invalidations_sent,
             0u);
+}
+
+// ---- Ring-staged batched frees (DESIGN.md §7) ----
+
+TEST_F(OffloadEngineTest, StagedFreesAreInvisibleUntilPublished) {
+  engine_->set_producer_index_cache(true);
+  Env env(*machine_, 0);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    engine_->StageFree(env, 100 + i, /*batch=*/4);
+  }
+  EXPECT_EQ(engine_->staged_frees(0), 3u);
+  engine_->DrainAll();
+  EXPECT_TRUE(server_.freed.empty()) << "the server read past the published head";
+  EXPECT_EQ(engine_->stats().ring_doorbells, 0u);
+  engine_->PublishStaged(env);
+  EXPECT_EQ(engine_->stats().ring_doorbells, 1u) << "one doorbell for the whole stage";
+  EXPECT_EQ(engine_->staged_frees(0), 0u);
+  engine_->DrainAll();
+  EXPECT_EQ(server_.freed, (std::vector<std::uint64_t>{100, 101, 102}));
+}
+
+TEST_F(OffloadEngineTest, KickedRefillPublishesStagedFreesAheadOfIt) {
+  engine_->set_producer_index_cache(true);
+  Env env(*machine_, 0);
+  engine_->StageFree(env, 100, /*batch=*/4);
+  engine_->StageFree(env, 101, /*batch=*/4);
+  engine_->AsyncRequestKicked(env, OffloadOp::kRefillStash, 7);
+  EXPECT_EQ(engine_->stats().ring_doorbells, 1u) << "the refill's doorbell carries the stage";
+  EXPECT_EQ(engine_->staged_frees(0), 0u);
+  EXPECT_EQ(server_.ops, (std::vector<OffloadOp>{OffloadOp::kFree, OffloadOp::kFree,
+                                                 OffloadOp::kRefillStash}));
+  EXPECT_EQ(server_.freed, (std::vector<std::uint64_t>{100, 101}));
+  EXPECT_EQ(engine_->stats().async_ops, 3u);
+}
+
+// A stage starts by reserving all its slots: with the ring full of
+// unconsumed entries, the first staged free must wait out a drain instead
+// of storing over an entry the server has not read.
+TEST_F(OffloadEngineTest, StageStartReservesItsSlotsOnAFullRing) {
+  engine_->set_producer_index_cache(true);
+  Env env(*machine_, 0);
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t i = 0; i < 8; ++i) {  // capacity is 8
+    engine_->AsyncRequest(env, OffloadOp::kFree, 100 + i);
+    want.push_back(100 + i);
+  }
+  EXPECT_EQ(engine_->stats().ring_full_stalls, 0u);
+  engine_->StageFree(env, 200, /*batch=*/4);
+  EXPECT_EQ(engine_->stats().ring_full_stalls, 1u);
+  engine_->PublishStaged(env);
+  engine_->DrainAll();
+  want.push_back(200);
+  EXPECT_EQ(server_.freed, want);
+}
+
+// free_batch == ring_capacity: a full stage plus a refill cannot share one
+// doorbell without overrunning the ring, so the stage rides its own first.
+TEST_F(OffloadEngineTest, FullRingSizedStageRidesItsOwnDoorbellBeforeARefill) {
+  engine_->set_producer_index_cache(true);
+  Env env(*machine_, 0);
+  std::vector<std::uint64_t> want;
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const std::uint64_t addr = 1000 * (round + 1) + i;
+      engine_->StageFree(env, addr, /*batch=*/8);
+      want.push_back(addr);
+    }
+    engine_->AsyncRequestKicked(env, OffloadOp::kRefillStash, 7);
+  }
+  EXPECT_EQ(engine_->stats().ring_doorbells, 6u);
+  EXPECT_EQ(server_.freed, want) << "a staged free was overwritten or replayed";
+  EXPECT_EQ(engine_->stats().refill_ops, 3u);
+  EXPECT_EQ(engine_->stats().async_ops, 27u);
+}
+
+// The fabric counts staged frees when a doorbell publishes them: into the
+// enqueue counter behind QueueDepth and into the epoch traffic matrix.
+TEST(OffloadFabricStaging, DoorbellsCountTheStagedFreesTheyPublish) {
+  auto machine = MakeMachine(3);
+  OffloadFabric fabric(*machine, {2}, kTestChannelBase, /*ring_capacity=*/8,
+                       MakeRoutingPolicy(RoutingKind::kStaticByClient));
+  machine->address_map().Add(Region{kTestChannelBase,
+                                    OffloadFabric::ChannelRegionBytes(*machine, 1),
+                                    PageKind::kSmall4K, "chan"});
+  EchoServer server;
+  fabric.set_server(0, &server);
+  fabric.set_producer_index_cache(true);
+  fabric.set_epoch_tracking(true);
+  Env env(*machine, 0);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    fabric.StageFree(env, 0, 100 + i, /*batch=*/4);
+  }
+  EXPECT_EQ(fabric.QueueDepth(0), 0u) << "staged frees are not enqueued yet";
+  EXPECT_EQ(fabric.EpochShardOps(0), 0u);
+  fabric.AsyncRequest(env, 0, OffloadOp::kFree, 103);
+  EXPECT_EQ(fabric.QueueDepth(0), 4u);
+  EXPECT_EQ(fabric.EpochShardOps(0), 4u);
+  fabric.StageFree(env, 0, 104, /*batch=*/4);
+  fabric.AsyncRequestKicked(env, 0, OffloadOp::kRefillStash, 7);
+  EXPECT_EQ(fabric.EpochShardOps(0), 6u) << "the kick's doorbell published one staged free";
+  EXPECT_EQ(fabric.QueueDepth(0), 0u) << "the kick drained everything it counted";
+  EXPECT_EQ(fabric.shard_stats(0).async_ops, 6u);
+  EXPECT_EQ(fabric.PublishStaged(env, 0), 0u) << "nothing left to publish";
 }
 
 TEST(Channel, PayloadIntegrity) {

@@ -235,7 +235,7 @@ TEST(BatchedFrees, FlushOnTeardownLosesNoFrees) {
   for (const Addr a : blocks) {
     sys.allocator->Free(env, a);
   }
-  // 5 frees sit in the client-side buffer: nothing has reached the ring.
+  // 5 frees sit staged in the ring, unpublished: no server has seen them.
   EXPECT_EQ(sys.fabric->TotalStats().async_ops, 0u);
   EXPECT_EQ(sys.allocator->buffered_frees(), 5u);
   sys.allocator->Flush(env);

@@ -417,8 +417,8 @@ class SpanRebalanceFabricStress
 // Two clients hammer a watermarked fabric with a size mix whose large tail
 // (> the 32 KiB small-class ceiling) keeps spans mapping and unmapping, so
 // refills, offers and returns all fire while the shadow heap checks block
-// integrity. With free_batch = 8 the frees ride per-(client, shard) buffers
-// and multi-entry doorbells, so a span can empty only when a batch flushes.
+// integrity. With free_batch = 8 the frees stage in their (client, shard)
+// rings and publish per batch, so a span can empty only when a stage does.
 // At the end, every directory invariant must still hold and the allocator
 // must balance its books.
 TEST_P(SpanRebalanceFabricStress, RandomMallocFreeChurnKeepsTheDirectoryConsistent) {

@@ -16,7 +16,9 @@
 //    the halves (the sync fallback reseeds);
 //  * the stall-trained refill lead: a replayed burst stalls less than its
 //    first run, no lead passes cap - 1 - mark, a stall-free run leaves
-//    every lead at 0, and Flush under raised leads still balances the books.
+//    every lead at 0, and Flush under raised leads still balances the books;
+//  * ring-staged batched frees next to kicked refills: a ring-sized stage
+//    never overruns a slot, and Flush publishes every shard's partial stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "src/core/nextgen_malloc.h"
+#include "src/workload/rng.h"
 #include "tests/test_util.h"
 
 namespace ngx {
@@ -103,8 +106,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PipeCase{3, 4, true}, PipeCase{3, 4, false},
                       PipeCase{11, 1, true}, PipeCase{12, 2, true},
                       PipeCase{13, 4, true}),
-    [](const ::testing::TestParamInfo<PipeCase>& info) {
-      const PipeCase& c = info.param;
+    [](const ::testing::TestParamInfo<PipeCase>& p) {
+      const PipeCase& c = p.param;
       return "seed" + std::to_string(c.seed) + "_shards" + std::to_string(c.shards) +
              (c.pipeline ? "_pipe" : "_sync");
     });
@@ -315,6 +318,105 @@ TEST(StashRefillLead, FlushWithRaisedLeadsReturnsEveryBlock) {
   EXPECT_EQ(s.oom_failures, 0u);
   AuditPipelineCounters(*sys.allocator);
   ExpectLeadsBounded(*sys.allocator, machine->num_cores(), SizeClasses().num_classes());
+}
+
+// ---- Ring-staged batched frees next to kicked refills (DESIGN.md §7) ----
+
+// free_batch == ring_capacity: a stage can fill the whole ring, so a refill
+// kicked behind a full stage must publish the stage on its own doorbell
+// first. A consumer core frees a producer's blocks (its stage fills) while
+// allocating from its own pipelined stash (its refills kick).
+TEST(StagedFreesPipeline, RingSizedStageWithInterleavedRefillsBalancesTheBooks) {
+  auto machine = MakeMachine(3);
+  NgxConfig cfg = PipelineConfig(1, true);
+  cfg.ring_capacity = 8;
+  cfg.free_batch = 8;
+  cfg.stash_capacity = 14;  // no spill stack: frees past a full half stage
+  NgxSystem sys = MakeNgxSystem(*machine, cfg, 2);
+  Env producer(*machine, 0);
+  Env consumer(*machine, 1);
+  // A varying number of frees per consumer malloc, so the stage's fill
+  // level at each refill kick does not settle into one phase.
+  Rng rng(3);
+  std::vector<Addr> held;
+  std::uint64_t full_stage_kicks = 0;
+  for (int i = 0; i < 400; ++i) {
+    for (std::uint64_t k = rng.Range(0, 3); k > 0; --k) {
+      const Addr a = sys.allocator->Malloc(producer, 256);
+      ASSERT_NE(a, kNullAddr);
+      sys.allocator->Free(consumer, a);
+    }
+    const bool full = sys.fabric->staged_frees(1, 0) == cfg.free_batch;
+    const std::uint64_t refills = sys.allocator->stash_refills();
+    held.push_back(sys.allocator->Malloc(consumer, 64));
+    ASSERT_NE(held.back(), kNullAddr);
+    if (full && sys.allocator->stash_refills() > refills) {
+      ++full_stage_kicks;
+    }
+  }
+  EXPECT_GT(full_stage_kicks, 0u) << "no refill was kicked behind a full stage";
+  std::vector<Addr> sorted = held;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "a block was handed out twice";
+  for (const Addr a : held) {
+    sys.allocator->Free(consumer, a);
+  }
+  sys.allocator->Flush(producer);
+  sys.allocator->Flush(consumer);
+  sys.fabric->DrainAll();
+  const AllocatorStats s = sys.allocator->stats();
+  EXPECT_EQ(s.mallocs, s.frees) << "a staged free was overwritten or lost";
+  EXPECT_EQ(s.bytes_live, 0u);
+  EXPECT_GT(sys.allocator->buffered_frees(), sys.allocator->free_flushes());
+  AuditPipelineCounters(*sys.allocator);
+}
+
+// Flush publishes the core's partial stage on every shard before it returns
+// the stash: teardown loses no staged free, and each partial stage rides
+// its own doorbell rather than a stash return's.
+TEST(StagedFreesPipeline, FlushPublishesPartialStagesOnEveryShard) {
+  constexpr int kShards = 4;
+  auto machine = MakeMachine(2 * kShards);
+  NgxConfig cfg = PipelineConfig(kShards, true);
+  cfg.free_batch = 8;
+  NgxSystem sys = MakeNgxSystem(*machine, cfg, kShards);
+  // Large blocks are never stashed or recycled, so every free stages; core c
+  // mallocs from shard c under static_by_client routing.
+  const std::uint64_t large = SizeClasses().max_size() + 1;
+  std::vector<Addr> blocks;
+  for (int core = 0; core < kShards; ++core) {
+    Env env(*machine, core);
+    for (int i = 0; i < 3; ++i) {
+      blocks.push_back(sys.allocator->Malloc(env, large));
+      ASSERT_NE(blocks.back(), kNullAddr);
+    }
+  }
+  Env app(*machine, 0);
+  const Addr small = sys.allocator->Malloc(app, 128);  // seeds core 0's stash
+  ASSERT_NE(small, kNullAddr);
+  sys.allocator->Free(app, small);
+  for (const Addr a : blocks) {
+    sys.allocator->Free(app, a);
+  }
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_EQ(sys.fabric->staged_frees(0, s), 3u) << "shard " << s;
+  }
+  EXPECT_EQ(sys.fabric->TotalStats().async_ops, 0u) << "staged frees reached a server";
+  const std::uint64_t flushes0 = sys.allocator->free_flushes();
+  sys.allocator->Flush(app);
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_EQ(sys.fabric->staged_frees(0, s), 0u) << "shard " << s;
+  }
+  EXPECT_EQ(sys.allocator->free_flushes() - flushes0, static_cast<std::uint64_t>(kShards));
+  for (int core = 1; core < kShards; ++core) {
+    Env env(*machine, core);
+    sys.allocator->Flush(env);
+  }
+  sys.fabric->DrainAll();
+  const AllocatorStats s = sys.allocator->stats();
+  EXPECT_EQ(s.mallocs, s.frees) << "Flush lost a staged free";
+  EXPECT_EQ(s.bytes_live, 0u);
 }
 
 }  // namespace

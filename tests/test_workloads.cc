@@ -90,9 +90,9 @@ TEST_P(WorkloadMatrixTest, RunsCleanAndBalancesAllocs) {
 
 std::vector<MatrixCase> AllCases() {
   std::vector<MatrixCase> cases;
-  for (const std::string& w :
+  for (const char* w :
        {"xalanc", "xmalloc", "churn", "larson", "cache-thrash", "cache-scratch"}) {
-    for (const std::string& a :
+    for (const char* a :
          {"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc", "nextgen"}) {
       cases.push_back(MatrixCase{w, a});
     }
@@ -101,8 +101,8 @@ std::vector<MatrixCase> AllCases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, WorkloadMatrixTest, ::testing::ValuesIn(AllCases()),
-                         [](const ::testing::TestParamInfo<MatrixCase>& info) {
-                           std::string n = info.param.workload + "_" + info.param.allocator;
+                         [](const ::testing::TestParamInfo<MatrixCase>& p) {
+                           std::string n = p.param.workload + "_" + p.param.allocator;
                            for (char& ch : n) {
                              if (ch == '-') {
                                ch = '_';
