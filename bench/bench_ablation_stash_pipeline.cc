@@ -13,6 +13,9 @@
 // mallocs that still pay a round trip) falls below the kMallocBatch
 // baseline, and a whole refill batch costs the client at most ONE stash
 // line transfer (the flip's acquire-read) -- flips never exceed refills.
+// It also reports how well that one transfer is hidden: the share of flips
+// whose line a software prefetch had already brought in, and the stale
+// prefetches (issued before the publish) per refill.
 #include "bench/bench_common.h"
 
 using namespace ngx;
@@ -34,6 +37,8 @@ struct Row {
   std::uint64_t recycles = 0;
   std::uint64_t stalls = 0;
   std::uint64_t overlap_cycles = 0;
+  std::uint64_t prefetched_flips = 0;
+  std::uint64_t stale_prefetches = 0;
 
   double SyncResiduePct() const {
     const double ops = static_cast<double>(stash_hits + sync_mallocs);
@@ -43,6 +48,14 @@ struct Row {
   // one line; every pop after it hits that warmed line.
   double FlipsPerRefill() const {
     return refills > 0 ? static_cast<double>(flips) / static_cast<double>(refills) : 0.0;
+  }
+  double PrefetchedFlipPct() const {
+    return flips > 0 ? 100.0 * static_cast<double>(prefetched_flips) / static_cast<double>(flips)
+                     : 0.0;
+  }
+  double StalePrefetchesPerRefill() const {
+    return refills > 0 ? static_cast<double>(stale_prefetches) / static_cast<double>(refills)
+                       : 0.0;
   }
 };
 
@@ -91,6 +104,8 @@ Row RunCase(BenchCli& cli, Mode mode, std::uint32_t mark, std::uint32_t capacity
   out.recycles = sys.allocator->stash_recycled_frees();
   out.stalls = sys.allocator->stash_starvation_stalls();
   out.overlap_cycles = sys.allocator->refill_overlap_cycles();
+  out.prefetched_flips = sys.allocator->stash_prefetched_flips();
+  out.stale_prefetches = sys.allocator->stash_prefetches_stale();
   return out;
 }
 
@@ -121,11 +136,12 @@ int main(int argc, char** argv) {
   }
 
   TextTable t({"configuration", "alloc%", "app wall", "sync residue", "refills", "flips/refill",
-               "recycles", "stalls", "overlap cyc"});
+               "prefetched", "recycles", "stalls", "overlap cyc"});
   for (const Row& r : rows) {
     t.AddRow({r.config, FormatInt(r.intensity), FormatSci(static_cast<double>(r.wall)),
               FormatFixed(r.SyncResiduePct(), 2) + "%", FormatInt(r.refills),
-              r.refills > 0 ? FormatFixed(r.FlipsPerRefill(), 3) : "-", FormatInt(r.recycles),
+              r.refills > 0 ? FormatFixed(r.FlipsPerRefill(), 3) : "-",
+              r.flips > 0 ? FormatFixed(r.PrefetchedFlipPct(), 1) + "%" : "-", FormatInt(r.recycles),
               FormatInt(r.stalls), FormatSci(static_cast<double>(r.overlap_cycles))});
   }
   std::cout << t.ToString() << "\n";
@@ -144,6 +160,8 @@ int main(int argc, char** argv) {
     o.Set("recycled_frees", JsonValue(r.recycles));
     o.Set("starvation_stalls", JsonValue(r.stalls));
     o.Set("overlap_cycles", JsonValue(r.overlap_cycles));
+    o.Set("prefetched_flips", JsonValue(r.prefetched_flips));
+    o.Set("stale_prefetches", JsonValue(r.stale_prefetches));
     json_rows.Push(o);
   }
   cli.Set("configs", json_rows);
@@ -156,6 +174,9 @@ int main(int argc, char** argv) {
             << FormatFixed(pipe.SyncResiduePct(), 2) << "% (pipeline)\n"
             << "stash line transfers per refill batch: " << FormatFixed(pipe.FlipsPerRefill(), 3)
             << " (<= 1: one acquire-read publishes the whole batch)\n"
+            << "flips whose line a prefetch had already brought in: "
+            << FormatFixed(pipe.PrefetchedFlipPct(), 2) << "% (stale prefetches per refill: "
+            << FormatFixed(pipe.StalePrefetchesPerRefill(), 3) << ")\n"
             << "server fill cycles hidden behind client work: "
             << FormatSci(static_cast<double>(pipe.overlap_cycles)) << "\n"
             << "app speedup over kMallocBatch: "
@@ -166,6 +187,8 @@ int main(int argc, char** argv) {
   cli.Metric("pipeline_sync_residue_pct", pipe.SyncResiduePct());
   cli.Metric("pipeline_flips_per_refill", pipe.FlipsPerRefill());
   cli.Metric("pipeline_overlap_cycles", pipe.overlap_cycles);
+  cli.Metric("pipeline_prefetched_flip_pct", pipe.PrefetchedFlipPct());
+  cli.Metric("pipeline_stale_prefetches_per_refill", pipe.StalePrefetchesPerRefill());
   cli.Metric("pipeline_starvation_stalls", pipe.stalls);
   cli.Metric("pipeline_speedup_over_batch_pct",
              100.0 * (static_cast<double>(batch.wall) / pipe.wall - 1.0));

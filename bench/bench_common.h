@@ -58,6 +58,7 @@ inline JsonValue PmuJson(const PmuCounters& p) {
   o.Set("dtlb_store_misses", JsonValue(p.dtlb_store_misses));
   o.Set("atomic_rmws", JsonValue(p.atomic_rmws));
   o.Set("alloc_cycles", JsonValue(p.alloc_cycles));
+  o.Set("sw_prefetches", JsonValue(p.sw_prefetches));
   o.Set("dtlb_regions", DtlbRegionsJson(p));
   return o;
 }

@@ -70,6 +70,40 @@ def print_attribution(doc):
         print(f"  WARNING: buckets drift from total by {drift:,} cycles (> 0.1%)")
 
 
+def split_key(key):
+    """'name{a=1,b=2}' -> ('name', {'a': '1', 'b': '2'})."""
+    name, _, rest = key.partition("{")
+    labels = dict(kv.split("=", 1) for kv in rest.rstrip("}").split(",") if "=" in kv)
+    return name, labels
+
+
+def print_stash_pipeline(doc):
+    """Per-path malloc latency (stash pop / flip / sync / inline) and the
+    stash pipeline's prefetch outcomes from the telemetry digest."""
+    tel = doc.get("telemetry")
+    if not isinstance(tel, dict):
+        return
+    rows = []
+    for key, h in tel.get("histograms", {}).items():
+        name, labels = split_key(key)
+        if name != "ngx.malloc_latency" or not h.get("count"):
+            continue
+        rows.append([labels.get("path", "?"), f"{h['count']:,}", h.get("p50", 0),
+                     h.get("p95", 0), h.get("p99", 0), h.get("max", 0)])
+    if rows:
+        print("\nmalloc latency by path (cycles):")
+        print(table(rows, ["path", "count", "p50", "p95", "p99", "max"]))
+    counters = tel.get("counters", {})
+    prefetches = {split_key(k)[1].get("outcome", "?"): v for k, v in counters.items()
+                  if split_key(k)[0] == "ngx.stash_prefetches"}
+    if any(prefetches.values()):
+        refills = sum(v for k, v in counters.items() if split_key(k)[0] == "ngx.stash_refills")
+        per_refill = f" ({prefetches.get('stale', 0) / refills:.3f} stale per refill)" \
+            if refills else ""
+        print("  stash prefetches: " +
+              ", ".join(f"{o} {fmt(n)}" for o, n in sorted(prefetches.items())) + per_refill)
+
+
 def print_matrix(doc):
     tm = doc.get("traffic_matrix") or doc.get("flight_recorder", {}).get("traffic_matrix")
     if not tm or not tm.get("cells"):
@@ -206,6 +240,7 @@ def report(path):
     print(f"=== {doc.get('bench', path)} ===")
     print_metrics(doc)
     print_attribution(doc)
+    print_stash_pipeline(doc)
     print_matrix(doc)
     print_snapshot(doc)
     print_dtlb_regions(doc)

@@ -283,6 +283,7 @@ bool NgxAllocator::Recording() {
 void NgxAllocator::BindInstruments() {
   MetricsRegistry& m = machine_->telemetry().metrics();
   h_malloc_stash_ = &m.GetHistogram("ngx.malloc_latency", {{"alloc", "nextgen"}, {"path", "stash"}});
+  h_malloc_flip_ = &m.GetHistogram("ngx.malloc_latency", {{"alloc", "nextgen"}, {"path", "flip"}});
   h_malloc_sync_ = &m.GetHistogram("ngx.malloc_latency", {{"alloc", "nextgen"}, {"path", "sync"}});
   h_malloc_inline_ =
       &m.GetHistogram("ngx.malloc_latency", {{"alloc", "nextgen"}, {"path", "inline"}});
@@ -305,6 +306,10 @@ void NgxAllocator::BindInstruments() {
   c_refill_overlap_ = &m.GetCounter("ngx.refill_overlap_cycles", {{"alloc", "nextgen"}});
   c_starvation_ = &m.GetCounter("ngx.stash_starvation_stalls", {{"alloc", "nextgen"}});
   c_stash_recycles_ = &m.GetCounter("ngx.stash_recycles", {{"alloc", "nextgen"}});
+  c_prefetch_landed_ =
+      &m.GetCounter("ngx.stash_prefetches", {{"alloc", "nextgen"}, {"outcome", "landed"}});
+  c_prefetch_stale_ =
+      &m.GetCounter("ngx.stash_prefetches", {{"alloc", "nextgen"}, {"outcome", "stale"}});
   instruments_bound_ = true;
 }
 
@@ -504,6 +509,7 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
   std::uint64_t remaining = 0;
   if (StashPopActive(env, core, cls, &block, &remaining)) {
     ++stash_hits_;
+    MaybePrefetchFill(env, core, cls);
     MaybePostRefill(env, cls, remaining);
     NoteMallocTraffic(core, StashShard(core, cls), size);
     if (rec) {
@@ -521,6 +527,7 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
     --pipe.spill;
     block = env.Load<std::uint64_t>(SpillAddr(core, cls, pipe.spill));
     ++stash_hits_;
+    MaybePrefetchFill(env, core, cls);
     MaybePostRefill(env, cls, pipe.spill);
     NoteMallocTraffic(core, StashShard(core, cls), size);
     if (rec) {
@@ -539,7 +546,7 @@ Addr NgxAllocator::PipelinedMalloc(Env& env, std::uint64_t size, std::uint32_t c
       MaybePostRefill(env, cls, remaining);
       NoteMallocTraffic(core, StashShard(core, cls), size);
       if (rec) {
-        h_malloc_stash_->Record(env.now() - t0);
+        h_malloc_flip_->Record(env.now() - t0);
         NoteAlloc(block, core);
       }
       return block;
@@ -602,13 +609,66 @@ void NgxAllocator::MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t re
   pipe.filling = pipe.active ^ 1u;
   pipe.want = want;
   ++pipe.expected_seq;
-  pipe.post_time = env.now();
+  pipe.prefetch_land = 0;
+  pipe.stale_copy = false;
   const std::uint64_t arg = (static_cast<std::uint64_t>(cls) << 24) |
                             (static_cast<std::uint64_t>(want) << 8) |
                             static_cast<std::uint64_t>(pipe.filling);
   // Fire and forget: the server consumes the doorbell and runs the fill on
   // its own clock; the client returns to application work immediately.
   fabric_->AsyncRequestKicked(env, shard, OffloadOp::kRefillStash, arg);
+}
+
+void NgxAllocator::MaybePrefetchFill(Env& env, int core, std::uint32_t cls) {
+  StashPipe& pipe = Pipe(core, cls);
+  if (!pipe.in_flight || pipe.spill > 0 || pipe.count[pipe.active] > 1) {
+    return;
+  }
+  const std::uint64_t issue = env.now();
+  if (pipe.publish_time <= issue) {
+    // Landed: the server has published, so the prefetch pulls the filled
+    // line (downgrading the server's modified copy) while the client keeps
+    // working, and the flip's acquire-read hits L1. A repeat while the first
+    // is still on its way merges into that miss (the simulated cache already
+    // holds the line, so its own delay is an L1 hit); one that refetched an
+    // evicted line lands later. Either way the line is in once the latest
+    // landing time has passed.
+    const std::uint64_t land = issue + env.Prefetch(HalfAddr(core, cls, pipe.filling));
+    pipe.prefetch_land = std::max(pipe.prefetch_land, land);
+    ++prefetches_landed_;
+    if (Recording()) {
+      c_prefetch_landed_->Add();
+    }
+    return;
+  }
+  // Stale: the eager kick has already run the fill in simulated memory, but
+  // on the client's clock the publish has not happened yet, so the prefetch
+  // fetched the old line and the publish must invalidate it. The client
+  // pays its one instruction; the server's release-store pays one upgrade
+  // invalidation, which pushes the publish back by as much. A repeat finds
+  // the old copy already in the client's L1: one instruction, and the
+  // publish still has only that one copy to invalidate.
+  env.Work(1);
+  Core& client = machine_->core(core);
+  ++client.pmu().sw_prefetches;
+  ++prefetches_stale_;
+  if (Recording()) {
+    c_prefetch_stale_->Add();
+  }
+  if (pipe.stale_copy) {
+    return;
+  }
+  pipe.stale_copy = true;
+  ++client.pmu().invalidations_received;
+  Core& server = machine_->core(fabric_->shard(StashShard(core, cls)).server_core());
+  const double cost =
+      server.ShapedCycles(AccessType::kStore, machine_->config().invalidate_latency);
+  server.AddCycles(cost);
+  ++server.pmu().invalidations_sent;
+  pipe.publish_time += static_cast<std::uint64_t>(cost);
+  if (FlightRecorder* frec = Recorder()) {
+    frec->AddCycles(FlightRecorder::kServerBusy, static_cast<std::uint64_t>(cost));
+  }
 }
 
 void NgxAllocator::FlipStash(Env& env, int core, std::uint32_t cls) {
@@ -640,10 +700,23 @@ void NgxAllocator::FlipStash(Env& env, int core, std::uint32_t cls) {
       ++pipe.lead;
     }
   }
-  // The acquire-read of the filled half's header is the flip's one
-  // guaranteed line transfer -- and it pulls the very line every subsequent
-  // pop of this half hits, so a whole refill batch moves in that single
-  // transfer.
+  if (pipe.prefetch_land != 0) {
+    if (pipe.prefetch_land > env.now()) {
+      // The prefetched line is still on its way: wait for it, booked like a
+      // publish wait. The refill itself was on time, so the lead stays put.
+      if (FlightRecorder* frec = Recorder()) {
+        if (frec->InClientOp(core)) {
+          frec->AddCycles(FlightRecorder::kSyncStall, pipe.prefetch_land - env.now());
+        }
+      }
+      machine_->core(core).AdvanceTo(pipe.prefetch_land);
+    }
+    ++prefetched_flips_;
+  }
+  // The acquire-read of the filled half's header is the flip's one line
+  // transfer -- and it pulls the very line every subsequent pop of this
+  // half hits, so a whole refill batch moves in that single transfer. After
+  // a landed prefetch the transfer has already happened and this hits L1.
   const std::uint64_t w0 = env.AtomicLoad(HalfAddr(core, cls, pipe.filling));
   NGX_CHECK((w0 >> 32) == (pipe.expected_seq & 0xffffffffull),
             "stash publish word out of protocol order");

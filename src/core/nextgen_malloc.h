@@ -139,11 +139,28 @@ class NgxAllocator : public Allocator {
   // the client drained the active half before the server published.
   std::uint64_t refill_overlap_cycles() const { return refill_overlap_cycles_; }
   std::uint64_t stash_starvation_stalls() const { return stash_starvation_stalls_; }
+  // Software prefetches of the filling half (see MaybePrefetchFill): landed
+  // ones pulled the published line, stale ones were issued before the
+  // publish (the first per refill costs the server an invalidation).
+  // Prefetched flips found a landed prefetch, so their acquire-read hit the
+  // line the prefetch brought in.
+  std::uint64_t stash_prefetches_landed() const { return prefetches_landed_; }
+  std::uint64_t stash_prefetches_stale() const { return prefetches_stale_; }
+  std::uint64_t stash_prefetched_flips() const { return prefetched_flips_; }
   // Learned refill lead of (core, cls)'s stash (0 until it first stalls;
   // see StashPipe::lead). Host-side probe; 0 when the pipeline is off.
   std::uint32_t stash_lead(int core, std::uint32_t cls) const {
-    return pipeline_ ? pipes_[static_cast<std::size_t>(core) * classes_.num_classes() + cls].lead
-                     : 0;
+    return pipeline_ ? Pipe(core, cls).lead : 0;
+  }
+  // Server clock at which (core, cls)'s latest refill publishes, stale
+  // prefetch delays included, and client clock by which the landed
+  // prefetches of that refill arrive (0: none landed). Host-side probes; 0
+  // before the first refill.
+  std::uint64_t stash_publish_time(int core, std::uint32_t cls) const {
+    return pipeline_ ? Pipe(core, cls).publish_time : 0;
+  }
+  std::uint64_t stash_prefetch_land(int core, std::uint32_t cls) const {
+    return pipeline_ ? Pipe(core, cls).prefetch_land : 0;
   }
   // Frees recycled straight into the client's active stash half (never
   // reached the ring or the server; see StashRecycle).
@@ -232,6 +249,9 @@ class NgxAllocator : public Allocator {
     std::uint8_t active = 0;    // half the client pops from
     std::uint8_t filling = 0;   // half the posted refill targets
     bool in_flight = false;     // a kRefillStash is posted but not yet flipped
+    // A stale prefetch left the pre-publish line in the client's cache; the
+    // publish's invalidation of it is already charged (MaybePrefetchFill).
+    bool stale_copy = false;
     std::uint32_t want = 0;     // blocks the posted refill asked for
     // The client's register-resident entry counts, one per half (the
     // thread-cache idiom: counts live in thread-local registers, the stash
@@ -252,11 +272,14 @@ class NgxAllocator : public Allocator {
     // the mark. Sits in the padding before expected_seq.
     std::uint32_t lead = 0;
     std::uint64_t expected_seq = 0;  // publish-word value that commits the fill
-    std::uint64_t post_time = 0;     // client clock at the doorbell
+    // Client clock by which every landed prefetch of the filling half has
+    // arrived; 0 = none landed for the refill in flight.
+    std::uint64_t prefetch_land = 0;
     std::uint64_t fill_start = 0;    // server clock when the fill began
     std::uint64_t publish_time = 0;  // server clock at the release-store
   };
-  static_assert(sizeof(StashPipe) == 56, "the refill lead must ride in existing padding");
+  static_assert(sizeof(StashPipe) == 56,
+                "the refill lead and prefetch state must ride in existing space");
 
   // Pipelined slot layout: two halves of ONE cache line each,
   //   [w0: fill_seq<<32 | count][entry 0]...[entry kPipeHalfCap-1]
@@ -285,6 +308,9 @@ class NgxAllocator : public Allocator {
   StashPipe& Pipe(int core, std::uint32_t cls) {
     return pipes_[static_cast<std::size_t>(core) * classes_.num_classes() + cls];
   }
+  const StashPipe& Pipe(int core, std::uint32_t cls) const {
+    return pipes_[static_cast<std::size_t>(core) * classes_.num_classes() + cls];
+  }
   // Pops the top of the ACTIVE half: ONE timed load (the top entry; the
   // count lives in the StashPipe register mirror, and the entry load hits
   // the line the flip's acquire already pulled). `remaining` gets the
@@ -307,10 +333,18 @@ class NgxAllocator : public Allocator {
   // `remaining` <= the refill mark plus the stash's lead, no refill is in
   // flight, and the predictor is warm.
   void MaybePostRefill(Env& env, std::uint32_t cls, std::uint64_t remaining);
+  // Called after every pop: while a refill is in flight, a pop that leaves
+  // at most one entry in the active half (spill stack empty) issues one
+  // software prefetch of the filling half, so the flip's line transfer
+  // overlaps the client's last pops instead of stalling the flip. Decided
+  // from client state alone: two attempts for a half drained by pops, plus
+  // one for every later pop back down to one entry after recycled frees
+  // refilled it.
+  void MaybePrefetchFill(Env& env, int core, std::uint32_t cls);
   // Consumes the published fill: waits out any remaining server time (and
-  // then raises the stash's lead by one), acquire-reads the filled half's
-  // header (the one guaranteed line transfer, which also warms the line
-  // every subsequent pop hits), swaps halves.
+  // then raises the stash's lead by one), waits for a landed prefetch still
+  // in flight, acquire-reads the filled half's header (the one line
+  // transfer, which a landed prefetch has already made), swaps halves.
   void FlipStash(Env& env, int core, std::uint32_t cls);
   // Server side of OffloadOp::kRefillStash: fill the client's inactive half
   // and publish with a release-store of the expected sequence number.
@@ -448,6 +482,9 @@ class NgxAllocator : public Allocator {
   std::uint64_t stash_starvation_stalls_ = 0;
   std::uint64_t recycled_frees_ = 0;
   std::uint64_t stash_local_flips_ = 0;
+  std::uint64_t prefetches_landed_ = 0;
+  std::uint64_t prefetches_stale_ = 0;
+  std::uint64_t prefetched_flips_ = 0;
   std::uint64_t buffered_frees_ = 0;
   std::uint64_t free_flushes_ = 0;
   // Flight-recorder host mirrors. stash_shard_ tracks which shard last
@@ -461,6 +498,7 @@ class NgxAllocator : public Allocator {
   // Telemetry handles (host-side observation only; see src/telemetry/).
   bool instruments_bound_ = false;
   Histogram* h_malloc_stash_ = nullptr;
+  Histogram* h_malloc_flip_ = nullptr;  // pipelined mallocs that flipped halves
   Histogram* h_malloc_sync_ = nullptr;
   Histogram* h_malloc_inline_ = nullptr;
   Histogram* h_free_ = nullptr;
@@ -480,6 +518,8 @@ class NgxAllocator : public Allocator {
   Counter* c_refill_overlap_ = nullptr;
   Counter* c_starvation_ = nullptr;
   Counter* c_stash_recycles_ = nullptr;
+  Counter* c_prefetch_landed_ = nullptr;
+  Counter* c_prefetch_stale_ = nullptr;
   std::unordered_map<Addr, int> alloc_core_;  // live block -> obtaining core
 };
 

@@ -61,15 +61,21 @@ void Core::Work(std::uint64_t n) {
   AddCycles(static_cast<double>(n) * config_.cpi);
 }
 
-std::uint64_t Core::ChargeAccess(AccessType type, std::uint64_t raw) {
-  double charged = static_cast<double>(raw);
+double Core::ShapedCycles(AccessType type, std::uint64_t raw) const {
+  const double cycles = static_cast<double>(raw);
   const bool ooo = config_.type == CoreType::kOutOfOrder;
   if (ooo && type == AccessType::kLoad) {
-    charged = 1.0 + (charged - 1.0) * (1.0 - config_.load_overlap);
-  } else if (ooo && type == AccessType::kStore) {
-    charged = 1.0 + (charged - 1.0) * (1.0 - config_.store_overlap);
+    return 1.0 + (cycles - 1.0) * (1.0 - config_.load_overlap);
+  }
+  if (ooo && type == AccessType::kStore) {
+    return 1.0 + (cycles - 1.0) * (1.0 - config_.store_overlap);
   }
   // Atomic RMWs serialize the pipeline on every core type: charged in full.
+  return cycles;
+}
+
+std::uint64_t Core::ChargeAccess(AccessType type, std::uint64_t raw) {
+  const double charged = ShapedCycles(type, raw);
   AddCycles(charged);
   return static_cast<std::uint64_t>(charged);
 }

@@ -71,6 +71,11 @@ class Core {
     }
   }
 
+  // Cycles a memory instruction of `type` with raw (unshaped) latency `raw`
+  // costs this core: an out-of-order core hides part of a load's or store's
+  // latency, atomics and in-order cores pay it in full.
+  double ShapedCycles(AccessType type, std::uint64_t raw) const;
+
   // Charges a memory instruction whose raw (unshaped) latency is `raw`.
   // Returns the charged cycles.
   std::uint64_t ChargeAccess(AccessType type, std::uint64_t raw);

@@ -51,6 +51,10 @@ class Env {
   // Touches [a, a+n) with stores without materializing payload bytes.
   void TouchWrite(Addr a, std::uint32_t n) { machine_->Access(core_id_, a, n, AccessType::kStore); }
 
+  // Software prefetch of the line holding `a` (see Machine::Prefetch).
+  // Returns the cycles until the line lands.
+  std::uint64_t Prefetch(Addr a) { return machine_->Prefetch(core_id_, a); }
+
   // ---- Atomics (on 64-bit words) ----
   std::uint64_t AtomicFetchAdd(Addr a, std::uint64_t delta) {
     const std::uint64_t old = machine_->memory().Read<std::uint64_t>(a);

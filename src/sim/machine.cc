@@ -233,6 +233,16 @@ std::uint64_t Machine::Access(int core_id, Addr addr, std::uint32_t size, Access
   return raw;
 }
 
+std::uint64_t Machine::Prefetch(int core_id, Addr addr) {
+  Core& c = core(core_id);
+  const Addr line = LineBase(addr);
+  c.Work(1);
+  ++c.pmu().sw_prefetches;
+  const std::uint64_t raw =
+      LookupTlb(core_id, line, AccessType::kLoad) + AccessLine(core_id, line, AccessType::kLoad);
+  return static_cast<std::uint64_t>(c.ShapedCycles(AccessType::kLoad, raw));
+}
+
 std::uint64_t Machine::AccessLine(int core_id, Addr line, AccessType type) {
   Core& c = core(core_id);
   const bool is_write = type != AccessType::kLoad;

@@ -90,6 +90,15 @@ class Machine {
   // (before core-type shaping; useful for tests).
   std::uint64_t Access(int core_id, Addr addr, std::uint32_t size, AccessType type);
 
+  // Software prefetch of the line holding `addr` on behalf of `core_id`
+  // (PRFM PLDL1KEEP on Arm, PREFETCHT0 on x86). Issues one instruction and
+  // performs a load's TLB lookup, coherence actions and fills now -- a
+  // remote modified owner is downgraded to shared and the HITM is counted
+  // -- but never stalls: the core clock advances by that one instruction
+  // only. Returns the cycles until the line lands, which is what a demand
+  // load issued now would be charged. SimMemory bytes are not touched.
+  std::uint64_t Prefetch(int core_id, Addr addr);
+
   // Charges `n` non-memory instructions on `core_id`.
   void Work(int core_id, std::uint64_t n) { core(core_id).Work(n); }
 

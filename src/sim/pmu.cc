@@ -47,6 +47,7 @@ PmuCounters& PmuCounters::operator+=(const PmuCounters& o) {
   invalidations_sent += o.invalidations_sent;
   invalidations_received += o.invalidations_received;
   writebacks += o.writebacks;
+  sw_prefetches += o.sw_prefetches;
   return *this;
 }
 

@@ -70,6 +70,10 @@ struct PmuCounters {
   std::uint64_t invalidations_sent = 0;
   std::uint64_t invalidations_received = 0;
   std::uint64_t writebacks = 0;
+  // Software prefetch instructions issued (Machine::Prefetch, and the
+  // allocator's stale stash prefetches). Observational only, like the
+  // per-region dTLB arrays: never folded into the determinism hash.
+  std::uint64_t sw_prefetches = 0;
 
   PmuCounters& operator+=(const PmuCounters& o);
 

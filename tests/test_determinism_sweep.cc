@@ -443,7 +443,7 @@ RunResult Table3PipelineRun(bool hugepage_spans, bool hugepage_metadata) {
 // If this fails, something changed simulated history: either an unintended
 // timing regression, or a deliberate model change -- in which case re-pin
 // BOTH this constant and PIPELINE_HASH in scripts/claims.py.
-constexpr std::uint64_t kTable3PipelineHash = 0xc341e49c161c6028ull;
+constexpr std::uint64_t kTable3PipelineHash = 0x74f693f82a4d0e3eull;
 
 TEST(PipelineDeterminism, Table3PipelineRunReplaysThePinnedHash) {
   EXPECT_EQ(bench::SimStateHash(Table3PipelineRun(false, false)), kTable3PipelineHash)
@@ -480,9 +480,10 @@ std::uint64_t HashedTwoShardXmallocRun() {
   return bench::SimStateHash(RunWorkload(machine, *sys.allocator, wl, opt));
 }
 
-// Re-pinned when batched frees moved into the ring itself (DESIGN.md §7):
-// staged frees reach the server earlier, and in free order.
-constexpr std::uint64_t kTwoShardXmallocHash = 0x29d8369adb593bd2ull;
+// Re-pinned when batched frees moved into the ring itself (DESIGN.md §7),
+// and again when the stash flip's line transfer became a software prefetch
+// issued ahead of the flip (DESIGN.md §9).
+constexpr std::uint64_t kTwoShardXmallocHash = 0x2cc36f2d59d4d485ull;
 
 TEST(MultiShardDeterminism, TwoShardXmallocReplaysThePinnedHash) {
   EXPECT_EQ(HashedTwoShardXmallocRun(), kTwoShardXmallocHash)

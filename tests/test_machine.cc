@@ -1,5 +1,5 @@
 // Machine-level tests: hierarchy walks, coherence protocol, TLB charging,
-// PMU attribution.
+// PMU attribution, software prefetch.
 #include "src/sim/machine.h"
 
 #include <gtest/gtest.h>
@@ -218,6 +218,91 @@ TEST(Machine, TotalPmuSumsCores) {
   e0.Work(10);
   e1.Work(20);
   EXPECT_EQ(m.TotalPmu().instructions, 30u);
+}
+
+// ---- Software prefetch (Machine::Prefetch) ----
+
+// Core 0 owns 0x1000 modified (value 7); core 1 then prefetches it.
+void OwnLineOnCore0(Machine& m) {
+  Env e0(m, 0);
+  e0.Store<std::uint64_t>(0x1000, 7);
+  ASSERT_EQ(m.OwnerOf(0x1000), 0);
+}
+
+TEST(MachinePrefetch, RemoteModifiedLineBecomesSharedWithOneHitm) {
+  Machine m(MachineConfig::Default(2));
+  OwnLineOnCore0(m);
+  m.Prefetch(1, 0x1008);
+  EXPECT_EQ(m.OwnerOf(0x1000), -1) << "the remote owner must be downgraded";
+  EXPECT_EQ(m.SharersOf(0x1000), 0b11u);
+  const PmuCounters& p = m.core(1).pmu();
+  EXPECT_EQ(p.remote_hitm, 1u);
+  EXPECT_EQ(p.sw_prefetches, 1u);
+  EXPECT_EQ(p.loads, 0u) << "a prefetch is not a demand load";
+  EXPECT_EQ(m.core(0).pmu().writebacks, 1u);
+}
+
+TEST(MachinePrefetch, ClockAdvancesByOneInstructionOnly) {
+  Machine prefetched(MachineConfig::Default(2));
+  Machine worked(MachineConfig::Default(2));
+  OwnLineOnCore0(prefetched);
+  OwnLineOnCore0(worked);
+  // Three rounds so the fractional cpi accumulator crosses a whole cycle.
+  for (int i = 0; i < 3; ++i) {
+    prefetched.Prefetch(1, 0x1000);
+    worked.Work(1, 1);
+    EXPECT_EQ(prefetched.core(1).now(), worked.core(1).now()) << "round " << i;
+  }
+  EXPECT_EQ(prefetched.core(1).pmu().instructions, 3u);
+  EXPECT_GT(prefetched.core(1).pmu().remote_hitm, 0u);
+}
+
+TEST(MachinePrefetch, ReturnedDelayEqualsADemandLoadCharge) {
+  for (const bool in_order : {false, true}) {
+    MachineConfig cfg = MachineConfig::Default(2);
+    if (in_order) {
+      cfg.cores[1] = CoreConfig::InOrder();
+    }
+    Machine prefetched(cfg);
+    Machine loaded(cfg);
+    OwnLineOnCore0(prefetched);
+    OwnLineOnCore0(loaded);
+    const std::uint64_t delay = prefetched.Prefetch(1, 0x1000);
+    Env e1(loaded, 1);
+    e1.Load<std::uint64_t>(0x1000);
+    EXPECT_EQ(delay, loaded.core(1).now()) << (in_order ? "in-order" : "out-of-order");
+    EXPECT_GT(delay, prefetched.config().cores[1].l1d.hit_latency)
+        << "a remote-owned line costs a transfer";
+  }
+}
+
+TEST(MachinePrefetch, LaterLoadHitsL1) {
+  Machine m(MachineConfig::Default(2));
+  OwnLineOnCore0(m);
+  m.Prefetch(1, 0x1000);
+  const PmuCounters before = m.core(1).pmu();
+  const std::uint64_t t0 = m.core(1).now();
+  Env e1(m, 1);
+  EXPECT_EQ(e1.Load<std::uint64_t>(0x1000), 7u);
+  EXPECT_EQ(m.core(1).pmu().l1d_load_misses, before.l1d_load_misses);
+  EXPECT_EQ(m.core(1).pmu().remote_hitm, before.remote_hitm);
+  EXPECT_LE(m.core(1).now() - t0, m.config().cores[1].l1d.hit_latency);
+  // The same holds for a line that came from DRAM.
+  m.Prefetch(1, 0x9000);
+  const std::uint64_t misses = m.core(1).pmu().l1d_load_misses;
+  e1.Load<std::uint64_t>(0x9000);
+  EXPECT_EQ(m.core(1).pmu().l1d_load_misses, misses);
+}
+
+TEST(MachinePrefetch, SimMemoryBytesAreUntouched) {
+  Machine m(MachineConfig::Default(2));
+  OwnLineOnCore0(m);
+  const std::size_t pages = m.memory().MappedPageCount();
+  m.Prefetch(1, 0x1000);
+  m.Prefetch(1, 0x40'0000);  // never written: must not materialize a page
+  EXPECT_EQ(m.memory().Read<std::uint64_t>(0x1000), 7u);
+  EXPECT_EQ(m.memory().Read<std::uint64_t>(0x40'0000), 0u);
+  EXPECT_EQ(m.memory().MappedPageCount(), pages);
 }
 
 }  // namespace

@@ -18,7 +18,12 @@
 //    first run, no lead passes cap - 1 - mark, a stall-free run leaves
 //    every lead at 0, and Flush under raised leads still balances the books;
 //  * ring-staged batched frees next to kicked refills: a ring-sized stage
-//    never overruns a slot, and Flush publishes every shard's partial stage.
+//    never overruns a slot, and Flush publishes every shard's partial stage;
+//  * the filling half's software prefetch: a flip after a landed prefetch
+//    pulls no line from the server, a stale prefetch charges the server and
+//    delays the publish, a flip waits for a prefetch still in flight, a
+//    half drained by pops alone takes at most two attempts, and Flush with
+//    a prefetch outstanding returns every block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,6 +62,13 @@ void AuditPipelineCounters(const NgxAllocator& a) {
   EXPECT_LE(a.refill_blocks(), a.stash_refills() * 7);
   // A stall happens only while waiting out a flip's publish.
   EXPECT_LE(a.stash_starvation_stalls(), a.stash_flips());
+  // A prefetched flip consumed a refill with at least one landed prefetch.
+  EXPECT_LE(a.stash_prefetched_flips(), a.stash_flips());
+  EXPECT_LE(a.stash_prefetched_flips(), a.stash_prefetches_landed());
+  // Two prefetch attempts per refill, plus one per recycled free that
+  // lifted the active half back above one entry.
+  EXPECT_LE(a.stash_prefetches_landed() + a.stash_prefetches_stale(),
+            2 * a.stash_refills() + a.stash_recycled_frees());
 }
 
 class StashPipelineMatrixTest : public ::testing::TestWithParam<PipeCase> {};
@@ -417,6 +429,198 @@ TEST(StagedFreesPipeline, FlushPublishesPartialStagesOnEveryShard) {
   const AllocatorStats s = sys.allocator->stats();
   EXPECT_EQ(s.mallocs, s.frees) << "Flush lost a staged free";
   EXPECT_EQ(s.bytes_live, 0u);
+}
+
+// ---- Prefetch of the filling half (MaybePrefetchFill) ----
+
+// With ample application work between mallocs every refill publishes long
+// before its flip, so the prefetch lands and the flip's acquire-read hits
+// L1: the flipping malloc moves no line from the server's cache.
+TEST(StashPrefetch, FlipAfterALandedPrefetchSendsNoRemoteHitm) {
+  auto machine = MakeMachine(2);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+  NgxAllocator& a = *sys.allocator;
+  Env app(*machine, 0);
+  const PmuCounters& client = machine->core(0).pmu();
+  std::vector<Addr> blocks;
+  std::uint64_t prefetched_flip_mallocs = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t prefetched = a.stash_prefetched_flips();
+    const std::uint64_t hitm = client.remote_hitm;
+    blocks.push_back(a.Malloc(app, 128));
+    ASSERT_NE(blocks.back(), kNullAddr);
+    if (a.stash_prefetched_flips() > prefetched) {
+      ++prefetched_flip_mallocs;
+      EXPECT_EQ(client.remote_hitm, hitm) << "malloc " << i;
+    }
+    app.Work(3000);
+  }
+  EXPECT_GT(prefetched_flip_mallocs, 10u);
+  EXPECT_EQ(a.stash_prefetched_flips(), a.stash_flips()) << "a flip missed its prefetch";
+  EXPECT_EQ(a.stash_prefetches_stale(), 0u);
+  EXPECT_GE(client.sw_prefetches, a.stash_prefetches_landed());
+  for (const Addr b : blocks) {
+    a.Free(app, b);
+  }
+  a.Flush(app);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(a.stats().mallocs, a.stats().frees);
+  AuditPipelineCounters(a);
+}
+
+// Back-to-back mallocs outrun every fill, so the last pops before a flip
+// prefetch a line the publish has not written yet. The first such prefetch
+// of a refill costs the serving core one store-shaped invalidation, counted
+// on both cores, and pushes the refill's publish back by the same cycles; a
+// repeat finds the old copy already cached and costs the server nothing
+// more. The flip waits for the pushed-back publish.
+TEST(StashPrefetch, StalePrefetchChargesTheServerAndDelaysThePublish) {
+  auto machine = MakeMachine(2);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+  NgxAllocator& a = *sys.allocator;
+  Env app(*machine, 0);
+  const Core& client = machine->core(0);
+  const Core& server = machine->core(1);
+  const std::uint32_t cls = SizeClasses().ClassOf(128);
+  const std::uint64_t cost = static_cast<std::uint64_t>(
+      server.ShapedCycles(AccessType::kStore, machine->config().invalidate_latency));
+  ASSERT_GT(cost, 0u);
+  std::uint64_t charged_mallocs = 0;
+  std::uint64_t repeat_mallocs = 0;
+  std::uint64_t flip_mallocs = 0;
+  std::uint64_t charged_refill = 0;  // refill whose stale copy is charged
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t stale = a.stash_prefetches_stale();
+    const std::uint64_t flips = a.stash_flips();
+    const std::uint64_t publish = a.stash_publish_time(0, cls);
+    const std::uint64_t sent = server.pmu().invalidations_sent;
+    const std::uint64_t received = client.pmu().invalidations_received;
+    const std::uint64_t server_clock = server.now();
+    ASSERT_NE(a.Malloc(app, 128), kNullAddr);
+    if (a.stash_prefetches_stale() > stale) {
+      EXPECT_EQ(a.stash_prefetches_stale() - stale, 1u);
+      // At most one refill is in flight, so the refill count names it.
+      const bool repeat = charged_refill == a.stash_refills();
+      charged_refill = a.stash_refills();
+      const std::uint64_t charges = repeat ? 0 : 1;
+      ++(repeat ? repeat_mallocs : charged_mallocs);
+      EXPECT_EQ(a.stash_publish_time(0, cls) - publish, charges * cost) << "malloc " << i;
+      EXPECT_EQ(server.pmu().invalidations_sent - sent, charges);
+      EXPECT_EQ(client.pmu().invalidations_received - received, charges);
+      EXPECT_GE(server.now() - server_clock, charges * cost);
+    }
+    if (a.stash_flips() > flips) {
+      ++flip_mallocs;
+      EXPECT_GE(client.now(), publish) << "a flip read the half before its delayed publish";
+    }
+  }
+  EXPECT_GT(charged_mallocs, 10u);
+  EXPECT_GT(repeat_mallocs, 0u);
+  EXPECT_GT(flip_mallocs, 10u);
+  EXPECT_GT(a.stash_starvation_stalls(), 0u);
+  AuditPipelineCounters(a);
+}
+
+// Bursts of back-to-back mallocs after long pauses: a refill published in
+// the pause is prefetched by the burst's last pops before the flip, and the
+// flip follows within a few cycles, before the line has landed. The flip
+// must wait for the landing time rather than read the line early.
+TEST(StashPrefetch, FlipWaitsForALandedPrefetchStillInFlight) {
+  auto machine = MakeMachine(2);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+  NgxAllocator& a = *sys.allocator;
+  Env app(*machine, 0);
+  const std::uint32_t cls = SizeClasses().ClassOf(128);
+  std::uint64_t waited_flips = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t prefetched = a.stash_prefetched_flips();
+    const std::uint64_t land = a.stash_prefetch_land(0, cls);
+    const std::uint64_t t0 = app.now();
+    ASSERT_NE(a.Malloc(app, 128), kNullAddr);
+    if (a.stash_prefetched_flips() > prefetched) {
+      EXPECT_GE(app.now(), land) << "malloc " << i << " flipped before its prefetch landed";
+      waited_flips += land > t0 ? 1 : 0;
+    }
+    if (i % 11 == 10) {
+      app.Work(20000);
+    }
+  }
+  EXPECT_GT(waited_flips, 5u);
+  AuditPipelineCounters(a);
+}
+
+// A half drained by pops alone offers two prefetch points -- the pops that
+// leave one entry and none -- so each refill takes at most two attempts,
+// whatever the pace of the client.
+TEST(StashPrefetch, HalfDrainedByPopsTakesAtMostTwoAttemptsPerRefill) {
+  for (const std::uint64_t work : {0ull, 200ull, 3000ull}) {
+    auto machine = MakeMachine(2);
+    NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+    NgxAllocator& a = *sys.allocator;
+    Env app(*machine, 0);
+    std::uint64_t since_flip = 0;
+    for (int i = 0; i < 300; ++i) {
+      const std::uint64_t attempts = a.stash_prefetches_landed() + a.stash_prefetches_stale();
+      const std::uint64_t flips = a.stash_flips();
+      ASSERT_NE(a.Malloc(app, 64), kNullAddr);
+      since_flip += a.stash_prefetches_landed() + a.stash_prefetches_stale() - attempts;
+      if (a.stash_flips() > flips) {
+        EXPECT_LE(since_flip, 2u) << "work " << work << ", malloc " << i;
+        since_flip = 0;
+      }
+      app.Work(work);
+    }
+    EXPECT_GT(a.stash_flips(), 20u) << "work " << work;
+    EXPECT_GE(a.stash_prefetches_landed() + a.stash_prefetches_stale(), a.stash_flips())
+        << "work " << work;
+    AuditPipelineCounters(a);
+  }
+}
+
+// Flush while a refill is in flight and its prefetch has landed: every
+// block (both halves, the unconsumed fill included) goes back, and the next
+// refills after the reseed start with no prefetch on their books.
+TEST(StashPrefetch, FlushWithAPrefetchOutstandingReturnsEveryBlock) {
+  auto machine = MakeMachine(2);
+  NgxSystem sys = MakeNgxSystem(*machine, LeadConfig(2), 1);
+  NgxAllocator& a = *sys.allocator;
+  Env app(*machine, 0);
+  std::vector<Addr> blocks;
+  bool outstanding = false;
+  for (int i = 0; i < 500 && !outstanding; ++i) {
+    const std::uint64_t flips = a.stash_flips();
+    const std::uint64_t landed = a.stash_prefetches_landed();
+    blocks.push_back(a.Malloc(app, 128));
+    ASSERT_NE(blocks.back(), kNullAddr);
+    app.Work(3000);
+    outstanding = a.stash_prefetches_landed() > landed && a.stash_flips() == flips;
+  }
+  ASSERT_TRUE(outstanding) << "no refill was caught with a landed prefetch";
+  a.Flush(app);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(a.stats().mallocs - a.stats().frees, blocks.size())
+      << "Flush lost a stashed or prefetched block";
+  // Back-to-back mallocs after the reseed: their refills publish late, so a
+  // prefetched flip must be backed by a prefetch landed after the Flush.
+  const std::uint64_t landed = a.stash_prefetches_landed();
+  const std::uint64_t prefetched = a.stash_prefetched_flips();
+  for (int i = 0; i < 100; ++i) {
+    blocks.push_back(a.Malloc(app, 128));
+    ASSERT_NE(blocks.back(), kNullAddr);
+  }
+  EXPECT_LE(a.stash_prefetched_flips() - prefetched, a.stash_prefetches_landed() - landed);
+  std::vector<Addr> sorted = blocks;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "a block was handed out twice";
+  for (const Addr b : blocks) {
+    a.Free(app, b);
+  }
+  a.Flush(app);
+  sys.fabric->DrainAll();
+  EXPECT_EQ(a.stats().mallocs, a.stats().frees);
+  EXPECT_EQ(a.stats().bytes_live, 0u);
+  AuditPipelineCounters(a);
 }
 
 }  // namespace
